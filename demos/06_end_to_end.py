@@ -33,23 +33,20 @@ print(f"train/dev/test mentions: "
       f"{[len(corpora[k].mentions) for k in ('train', 'dev', 'test')]}")
 
 for mode in ("baseline", "intra"):
-    providers = {k: (SyntheticProvider(s) if mode != "baseline" else None)
-                 for k, s in specs.items()}
+    start = time.time()
+    data = {k: build_dataset(corpora[k], embed_config, mode,
+                             inference_source=(SyntheticProvider(s)
+                                               if mode != "baseline"
+                                               else None))
+            for k, s in specs.items()}
     # this corpus is smaller than the desk preset (fewer steps per epoch),
     # so liftoff comes later; run the full budget instead of early stopping
     config = TrainConfig(mode=mode, epochs=60, patience=None, seed=0,
                          learning_rate=1e-3)
-    start = time.time()
-    params, history = train(corpora["train"], providers["train"],
-                            embed_config, config,
-                            dev_corpus=corpora["dev"],
-                            dev_inference_source=providers["dev"])
-    dev_data = build_dataset(corpora["dev"], embed_config, mode,
-                             inference_source=providers["dev"])
-    tau = tune_threshold(params, corpora["dev"], dataset=dev_data)
-    test_data = build_dataset(corpora["test"], embed_config, mode,
-                              inference_source=providers["test"])
-    system = predict_clustering(params, corpora["test"], test_data, tau)
+    params, history = train(data["train"], embed_config, config,
+                            dev_data=data["dev"])
+    tau = tune_threshold(params, corpora["dev"], dataset=data["dev"])
+    system = predict_clustering(params, corpora["test"], data["test"], tau)
     report = evaluate(corpora["test"], system, EvalOptions())
     easy = evaluate(corpora["test"], system,
                     mention_subset=easy_subset_mention_ids(corpora["test"]))

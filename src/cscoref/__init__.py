@@ -11,8 +11,8 @@ from .corpus import (Clustering, Corpus, CorpusFormatError, Document,
                      Mention, MentionPair, candidate_pairs, load_corpus,
                      validate_stats, write_corpus)
 from .embed import (EmbedderConfig, HashEmbedder, ServiceEmbedder,
-                    SpanRepresentation, embed_document, hash_embed,
-                    make_embedder, span_representation)
+                    SpanRepresentation, hash_embed, make_embedder,
+                    span_representation)
 from .metrics import (EvalOptions, EvalReport, MetricScore, b_cubed, ceaf_e,
                       conll_f1, evaluate, muc)
 from .scorer import (AttentionOutput, ModelDims, ModelParameters,

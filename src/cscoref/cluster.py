@@ -35,10 +35,6 @@ class ScoreMatrix:
             raise KeyError(f"no score for pair {key}")
         return self._scores[key]
 
-    def is_total(self) -> bool:
-        n = len(self.mention_ids)
-        return len(self._scores) == n * (n - 1) // 2
-
 
 @dataclass
 class ClusteringConfig:

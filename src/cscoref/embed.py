@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,21 +156,11 @@ class ServiceEmbedder:
             self._cache.setdefault(key, matrices)
         return self._cache[key]
 
-    def embed_documents(self, documents) -> dict[str, list[np.ndarray]]:
-        with ThreadPoolExecutor(self.config.max_concurrency) as pool:
-            results = pool.map(self.embed_document, documents)
-        return {doc.doc_id: mats for doc, mats in zip(documents, results)}
-
 
 def make_embedder(config: EmbedderConfig):
     if config.provider == "hash":
         return HashEmbedder(config)
     return ServiceEmbedder(config)
-
-
-def embed_document(config: EmbedderConfig, document: Document):
-    """One-shot dispatch over providers; returns per-sentence matrices."""
-    return make_embedder(config).embed_document(document)
 
 
 @dataclass(frozen=True)
@@ -227,11 +216,3 @@ def span_representation(matrix, sentence_index: int, token_start: int,
     return SpanRepresentation(start=span[0], last=span[-1], pooled=pooled,
                               width_feature=width_table[bucket],
                               weights=weights)
-
-
-def sentence_representation(tokens_matrix: np.ndarray, w_alpha: np.ndarray,
-                            width_table: np.ndarray) -> SpanRepresentation:
-    """Representation of a whole sentence, treated as one span."""
-    return span_representation([tokens_matrix], 0, 0,
-                               tokens_matrix.shape[0] - 1, w_alpha,
-                               width_table)

@@ -22,13 +22,12 @@ from . import __version__
 from .cluster import write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
-                          PromptExemplar, get_inferences, get_inferences_bulk)
+                          PromptExemplar, get_inferences_bulk)
 from .corpus import Corpus, load_corpus, write_corpus
-from .embed import EmbedderConfig, make_embedder, span_representation
+from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, evaluate
-from .scorer import (ModelParameters, commonsense_vector,
-                     load_checkpoint, pair_features, save_checkpoint,
-                     score_pair)
+from .scorer import (ModelParameters, forward_batch, load_checkpoint,
+                     save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
 from .training import (TrainConfig, build_dataset, gradcheck,
@@ -370,7 +369,8 @@ def _require_paths(config: RunConfig, splits):
 
 
 def _dataset_for(config: RunConfig, corpus: Corpus, split: str, mode: str,
-                 embedder=None, default_strict: bool = True):
+                 default_strict: bool = True, scope: Optional[str] = None,
+                 labeled: bool = True):
     provider = None
     cache = None
     if mode != "baseline":
@@ -381,37 +381,41 @@ def _dataset_for(config: RunConfig, corpus: Corpus, split: str, mode: str,
     return build_dataset(corpus, config.embedder, mode,
                          inference_source=provider,
                          gen_config=config.commonsense.generation,
-                         cache=cache, scope=config.train.pair_scope,
-                         embedder=embedder)
+                         cache=cache, scope=scope or config.train.pair_scope,
+                         labeled=labeled)
+
+
+def _load_checked_checkpoint(config: RunConfig,
+                             checkpoint_path) -> ModelParameters:
+    """Load a checkpoint whose dims match the config in its own mode."""
+    params = load_checkpoint(checkpoint_path)
+    expected = replace(config.train.model_dims(config.embedder),
+                       mode=params.dims.mode)
+    if params.dims != expected:
+        raise ConfigError(
+            f"checkpoint dims {params.dims} do not match config "
+            f"{expected}")
+    return params
 
 
 def cmd_train(config: RunConfig) -> int:
     _require_paths(config, ["train"] + (["dev"] if "dev"
                                         in config.corpus_paths else []))
     out = open_run_dir(config, "train")
-    train_corpus = load_corpus(config.corpus_paths["train"])
-    dev_corpus = (load_corpus(config.corpus_paths["dev"])
-                  if "dev" in config.corpus_paths else None)
     mode = config.train.mode
-    provider = (build_provider(config, "train")
-                if mode != "baseline" else None)
-    dev_provider = (build_provider(config, "dev")
-                    if mode != "baseline" and dev_corpus is not None
-                    else None)
-    cache = (InferenceCache(config.commonsense.cache_path)
-             if config.commonsense.cache_path else None)
-
-    eval_corpus = dev_corpus if dev_corpus is not None else train_corpus
-    eval_split = "dev" if dev_corpus is not None else "train"
-    dev_data = _dataset_for(config, eval_corpus, eval_split, mode)
+    train_corpus = load_corpus(config.corpus_paths["train"])
+    train_data = _dataset_for(config, train_corpus, "train", mode)
+    if "dev" in config.corpus_paths:
+        eval_corpus = load_corpus(config.corpus_paths["dev"])
+        dev_data = _dataset_for(config, eval_corpus, "dev", mode)
+    else:
+        eval_corpus, dev_data = train_corpus, train_data
 
     dev_conlls = []
     for seed in config.seeds:
         train_config = replace(config.train, seed=seed)
-        params, history = train(
-            train_corpus, provider, config.embedder, train_config,
-            dev_corpus=dev_corpus, gen_config=config.commonsense.generation,
-            cache=cache, dev_inference_source=dev_provider)
+        params, history = train(train_data, config.embedder, train_config,
+                                dev_data=dev_data)
         ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.bin")
         save_checkpoint(params, ckpt_path)
         if config.threshold is not None:
@@ -451,14 +455,8 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
     _require_paths(config, [split])
     out = open_run_dir(config, "predict")
     corpus = load_corpus(config.corpus_paths[split])
-    params = load_checkpoint(checkpoint_path)
+    params = _load_checked_checkpoint(config, checkpoint_path)
     mode = params.dims.mode
-    expected = config.train.model_dims(config.embedder)
-    expected = replace(expected, mode=mode)
-    if params.dims != expected:
-        raise ConfigError(
-            f"checkpoint dims {params.dims} do not match config "
-            f"{expected}")
     data = _dataset_for(config, corpus, split, mode, default_strict=False)
     if tau is None:
         tau = config.threshold
@@ -529,70 +527,43 @@ class AttentionTrace:
 def explain_pair(params: ModelParameters, corpus: Corpus, config: RunConfig,
                  first_id: str, second_id: str, split: str = "test"
                  ) -> AttentionTrace:
-    """Single-pair trace: inference attention weights, score, gold label."""
+    """Single-pair trace: inference attention weights, score, gold label.
+
+    The pair is scored by ``forward_batch`` on a one-pair dataset built as
+    ``predict`` builds its split, so the trace shows the same first-k
+    inference sentences and the same probability.
+    """
     for mention_id in (first_id, second_id):
         if mention_id not in corpus.mentions:
             raise KeyError(f"unknown mention id {mention_id!r}")
-    a, b = corpus.mentions[first_id], corpus.mentions[second_id]
-    if b.span_key() < a.span_key():
-        a, b = b, a
+    pair = [corpus.mentions[first_id], corpus.mentions[second_id]]
+    doc_ids = dict.fromkeys(m.doc_id for m in pair)
     mode = params.dims.mode
-    embedder = make_embedder(config.embedder)
-    w_alpha, width_table = params.w_alpha, params.width_table
-
-    def ctx_of(m):
-        matrices = embedder.embed_document(corpus.documents[m.doc_id])
-        rep = span_representation(matrices, m.sentence_index, m.token_start,
-                                  m.token_end, w_alpha, width_table)
-        return rep.full
-
-    ctx_a, ctx_b = ctx_of(a), ctx_of(b)
+    data = _dataset_for(config,
+                        Corpus([corpus.documents[d] for d in doc_ids], pair),
+                        split, mode, default_strict=False, scope="corpus",
+                        labeled=False)
+    probs, fw_cache = forward_batch(params, data, np.arange(1))
+    a, b = (corpus.mentions[m] for m in data.pair_names[0])
     relations = {}
-    cs_a = cs_b = None
     if mode != "baseline":
-        provider = build_provider(config, split, default_strict=False)
-        cache = (InferenceCache(config.commonsense.cache_path)
-                 if config.commonsense.cache_path else None)
-        gen = config.commonsense.generation
-
-        def inference_reps(m):
-            context = " ".join(corpus.sentence_of(m))
-            inf = get_inferences(provider, m, context, gen, cache=cache)
-            reps = {}
+        # attention row 0 is a's query, row 1 is b's; each row's sentence
+        # indices are already routed (own sets in intra, other's in inter)
+        for row, mention_id in enumerate((a.mention_id, b.mention_id)):
             for rel in ("before", "after"):
-                sentences = list(getattr(inf, rel))
-                reps[rel] = (sentences, [span_representation(
-                    [embedder.embed_sentence(s.split())], 0, 0,
-                    len(s.split()) - 1, w_alpha, width_table).full
-                    for s in sentences])
-            return reps
-
-        reps_a, reps_b = inference_reps(a), inference_reps(b)
-        src_a = reps_a if mode == "intra" else reps_b
-        src_b = reps_b if mode == "intra" else reps_a
-        cs_a, traces_a = commonsense_vector(mode, ctx_a, src_a["before"][1],
-                                            src_a["after"][1], params)
-        cs_b, traces_b = commonsense_vector(mode, ctx_b, src_b["before"][1],
-                                            src_b["after"][1], params)
-        for mention_id, src, traces in ((a.mention_id, src_a, traces_a),
-                                        (b.mention_id, src_b, traces_b)):
-            for rel in ("before", "after"):
-                sentences = src[rel][0]
-                weights = traces[rel].weights
-                ranked = sorted(zip(sentences, weights),
-                                key=lambda item: -item[1])
-                relations[(mention_id, rel)] = [(s, float(w))
-                                                for s, w in ranked]
-    feature = pair_features(ctx_a, ctx_b, cs_a, cs_b, mode,
-                            first=a.mention_id, second=b.mention_id)
-    probability = score_pair(params, feature.g, training=False)
+                att = fw_cache["att"][rel]
+                items = [(data.sentences[i], float(w)) for i, w in
+                         zip(att["idx"][row], att["cache"]["weights"][row])
+                         if i >= 0]
+                relations[(mention_id, rel)] = sorted(
+                    items, key=lambda item: -item[1])
     gold = None
     if a.gold_cluster_id is not None and b.gold_cluster_id is not None:
         gold = int(a.gold_cluster_id == b.gold_cluster_id)
     return AttentionTrace(first=a.mention_id, second=b.mention_id,
                           first_context=" ".join(corpus.sentence_of(a)),
                           second_context=" ".join(corpus.sentence_of(b)),
-                          relations=relations, probability=probability,
+                          relations=relations, probability=float(probs[0]),
                           gold_label=gold)
 
 
@@ -600,7 +571,7 @@ def cmd_explain(config: RunConfig, checkpoint_path, first_id: str,
                 second_id: str, split: str = "test",
                 out_path=None) -> int:
     corpus = load_corpus(config.corpus_paths[split])
-    params = load_checkpoint(checkpoint_path)
+    params = _load_checked_checkpoint(config, checkpoint_path)
     trace = explain_pair(params, corpus, config, first_id, second_id,
                          split=split)
     text = trace.render()

@@ -393,8 +393,9 @@ class PairDataset:
     """Everything the scorer needs about a split, as padded tensors.
 
     ``span_tensors`` holds one row per mention; ``sent_tensors`` one row per
-    inference sentence. ``before_idx``/``after_idx`` map each mention row to
-    its (up to k) sentence rows, padded with -1.
+    inference sentence, whose text is ``sentences[row]``.
+    ``before_idx``/``after_idx`` map each mention row to its (up to k)
+    sentence rows, padded with -1.
     """
     mention_ids: list
     row_of: dict
@@ -406,6 +407,7 @@ class PairDataset:
     pair_j: np.ndarray
     labels: np.ndarray      # (N,) float
     pair_names: list = field(default_factory=list)
+    sentences: list = field(default_factory=list)
 
     @property
     def n_pairs(self) -> int:

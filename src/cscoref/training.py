@@ -48,15 +48,16 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
                   mode: str, inference_source=None,
                   gen_config: Optional[GenerationConfig] = None,
                   cache=None, scope: str = "subtopic",
-                  labeled: bool = True, embedder=None) -> PairDataset:
+                  labeled: bool = True) -> PairDataset:
     """Embed a split into the padded tensors the scorer consumes.
 
     Baseline mode never touches ``inference_source``. For the other modes,
-    each mention's before/after sentences are fetched through the provider
-    (and optional cache), whitespace-tokenized, and embedded with the same
-    provider as the mention spans.
+    each mention's first k before/after sentences are fetched through the
+    provider (and optional cache), whitespace-tokenized, and embedded with
+    the same provider as the mention spans; their text is kept in
+    ``sentences``, one entry per sentence row.
     """
-    embedder = embedder or make_embedder(embed_config)
+    embedder = make_embedder(embed_config)
     gen_config = gen_config or GenerationConfig()
     mentions = corpus.mentions_in_order()
     row_of = {m.mention_id: i for i, m in enumerate(mentions)}
@@ -74,6 +75,7 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
     before_idx = -np.ones((len(mentions), k), dtype=int)
     after_idx = -np.ones((len(mentions), k), dtype=int)
     sent_tensors = None
+    sentences = []
     if mode != "baseline":
         if inference_source is None:
             raise ValueError(f"{mode} mode requires an inference provider")
@@ -92,6 +94,7 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
                     idx_arr[row, slot] = len(sentence_matrices)
                     sentence_matrices.append(
                         embedder.embed_sentence(tokens))
+                    sentences.append(sentence)
         if not sentence_matrices:
             # every mention came back empty (lenient provider): keep one
             # dummy row so the tensors exist; no index ever points at it
@@ -109,7 +112,8 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
                        row_of=row_of, span_tensors=span_tensors,
                        sent_tensors=sent_tensors, before_idx=before_idx,
                        after_idx=after_idx, pair_i=pair_i, pair_j=pair_j,
-                       labels=labels, pair_names=names)
+                       labels=labels, pair_names=names,
+                       sentences=sentences)
 
 
 class Adam:
@@ -165,32 +169,20 @@ def pairwise_f1(probs: np.ndarray, labels: np.ndarray,
     return 2 * tp / denom if denom else 0.0
 
 
-def train(corpus: Corpus, inference_source, embed_config: EmbedderConfig,
-          train_config: TrainConfig, dev_corpus: Optional[Corpus] = None,
-          gen_config: Optional[GenerationConfig] = None, cache=None,
-          dev_inference_source=None):
+def train(data: PairDataset, embed_config: EmbedderConfig,
+          train_config: TrainConfig, dev_data: Optional[PairDataset] = None):
     """Train the pairwise scorer; returns (best parameters, history).
 
+    ``data`` and ``dev_data`` come from ``build_dataset`` in the config's
+    mode, so a run that trains several seeds builds each split once.
     Fully deterministic given the config seed: initialization, epoch
     shuffles, and dropout masks all come from generators derived from it.
     After each epoch the dev pairwise F1 at threshold 0.5 is recorded; when
     it fails to improve for ``patience`` consecutive epochs, training stops
-    and the best epoch's parameters are returned. Without a dev corpus the
-    training split doubles as the monitoring split.
+    and the best epoch's parameters are returned. Without dev data the
+    training set doubles as the monitoring set.
     """
-    gen_config = gen_config or GenerationConfig()
-    data = build_dataset(corpus, embed_config, train_config.mode,
-                         inference_source=inference_source,
-                         gen_config=gen_config, cache=cache,
-                         scope=train_config.pair_scope)
-    if dev_corpus is None or dev_corpus is corpus:
-        dev_data = data
-    else:
-        dev_data = build_dataset(dev_corpus, embed_config, train_config.mode,
-                                 inference_source=(dev_inference_source
-                                                   or inference_source),
-                                 gen_config=gen_config, cache=cache,
-                                 scope=train_config.pair_scope)
+    dev_data = data if dev_data is None else dev_data
     if data.n_pairs == 0:
         raise ValueError("no training pairs in scope")
 

@@ -175,21 +175,20 @@ def separation_sweep():
     intra_artifacts = None
     for mode in ("baseline", "intra", "inter"):
         conlls, easy_conlls = [], []
+        data = {k: build_dataset(corpora[k], EMB, mode,
+                                 inference_source=(SyntheticProvider(s)
+                                                   if mode != "baseline"
+                                                   else None))
+                for k, s in specs.items()}
         for seed in (0, 1, 2):
             config = TrainConfig(mode=mode, epochs=60, patience=12,
                                  seed=seed, learning_rate=1e-3)
-            providers = {k: (SyntheticProvider(s) if mode != "baseline"
-                             else None) for k, s in specs.items()}
-            params, _ = train(corpora["train"], providers["train"], EMB,
-                              config, dev_corpus=corpora["dev"],
-                              dev_inference_source=providers["dev"])
-            dev_data = build_dataset(corpora["dev"], EMB, mode,
-                                     inference_source=providers["dev"])
-            tau = tune_threshold(params, corpora["dev"], dataset=dev_data)
-            test_data = build_dataset(corpora["test"], EMB, mode,
-                                      inference_source=providers["test"])
-            system = predict_clustering(params, corpora["test"], test_data,
-                                        tau)
+            params, _ = train(data["train"], EMB, config,
+                              dev_data=data["dev"])
+            tau = tune_threshold(params, corpora["dev"],
+                                 dataset=data["dev"])
+            system = predict_clustering(params, corpora["test"],
+                                        data["test"], tau)
             report = evaluate(corpora["test"], system)
             easy = evaluate(corpora["test"], system,
                             mention_subset=easy_subset_mention_ids(
@@ -333,7 +332,9 @@ class TestCriterion8TrainDeterminism:
                              learning_rate=1e-3, hidden=32, d_a=4)
         blobs = []
         for name in ("one.bin", "two.bin"):
-            params, _ = train(corpus, SyntheticProvider(spec), emb, config)
+            data = build_dataset(corpus, emb, "intra",
+                                 inference_source=SyntheticProvider(spec))
+            params, _ = train(data, emb, config)
             path = tmp_path / name
             save_checkpoint(params, path)
             blobs.append(path.read_bytes())

@@ -1,0 +1,22 @@
+"""Every demo script runs to completion against the current library API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# demo 05 repeats the finite-difference gradcheck of acceptance criterion 3
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py")
+               if path.name != "05_gradient_verification.py")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stderr

@@ -7,8 +7,8 @@ import pytest
 
 from cscoref.corpus import Document
 from cscoref.embed import (EmbedderConfig, EmbeddingError, HashEmbedder,
-                           ServiceEmbedder, embed_document, hash_embed,
-                           span_representation, width_bucket)
+                           ServiceEmbedder, hash_embed, span_representation,
+                           width_bucket)
 
 # regression value computed once from this implementation (d=16, seed=1,
 # tokens "token0".."token999")
@@ -48,7 +48,7 @@ class TestHashEmbedder:
     def test_document_shapes(self):
         config = EmbedderConfig(provider="hash", d=8, seed=0)
         doc = Document("d", "t", "s", [["a", "b", "c"], ["d", "e"]])
-        matrices = embed_document(config, doc)
+        matrices = HashEmbedder(config).embed_document(doc)
         assert [m.shape for m in matrices] == [(3, 8), (2, 8)]
 
     def test_repeated_token_identical_rows(self):
@@ -148,14 +148,6 @@ class TestServiceEmbedder:
     def test_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
             EmbedderConfig(provider="service", d=4)
-
-    def test_bulk_documents_through_request_pool(self, embedding_server):
-        embedder = ServiceEmbedder(_service_config(embedding_server))
-        docs = [Document(f"d{i}", "t", "s", [["a", "b"], ["c"]])
-                for i in range(6)]
-        results = embedder.embed_documents(docs)
-        assert set(results) == {f"d{i}" for i in range(6)}
-        assert all(results[d][0].shape == (2, 4) for d in results)
 
 
 class TestSpanRepresentation:

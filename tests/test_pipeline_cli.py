@@ -343,6 +343,65 @@ class TestExplainCommand:
             assert len(items) == 1
             assert items[0][1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["intra", "inter"])
+    def test_matches_predict_with_cache_filled_at_larger_k(self, tmp_path,
+                                                           mode):
+        from dataclasses import replace
+
+        import numpy as np
+
+        from cscoref.commonsense import InferenceCache
+        from cscoref.scorer import forward_batch, init_parameters
+        from cscoref.training import build_dataset
+
+        config, corpus = small_run_config(tmp_path, mode=mode)
+        config.commonsense.cache_path = str(tmp_path / "cache.jsonl")
+        assert config.commonsense.generation.k == 5
+        assert pipeline.cmd_gen_inferences(config, "test") == 0
+        config.commonsense.generation = replace(
+            config.commonsense.generation, k=2)
+        params = init_parameters(config.train.model_dims(config.embedder), 0)
+        # at init scale the attention weights are uniform
+        for name in ("W_q_before", "W_k_before", "W_q_after", "W_k_after"):
+            getattr(params, name)[...] *= 50
+        first, second = "t00_c0_m0", "t00_c1_m0"
+        trace = pipeline.explain_pair(params, corpus, config, first, second,
+                                      split="test")
+
+        with open(config.commonsense.fixtures["test"],
+                  encoding="utf-8") as fh:
+            fixtures = {rec["mention_id"]: rec
+                        for rec in map(json.loads, fh)}
+        routed = ({first: first, second: second} if mode == "intra"
+                  else {first: second, second: first})
+        assert len(trace.relations) == 4
+        for (mention_id, rel), items in trace.relations.items():
+            assert (sorted(sentence for sentence, _ in items)
+                    == sorted(fixtures[routed[mention_id]][rel][:2]))
+
+        data = build_dataset(
+            corpus, config.embedder, mode,
+            inference_source=pipeline.build_provider(
+                config, "test", default_strict=False),
+            gen_config=config.commonsense.generation,
+            cache=InferenceCache(config.commonsense.cache_path))
+        index = data.pair_names.index((trace.first, trace.second))
+        probs, _ = forward_batch(params, data, np.array([index]))
+        assert trace.probability == pytest.approx(float(probs[0]),
+                                                  rel=1e-12)
+
+    def test_dims_mismatch_rejected(self, tmp_path):
+        from cscoref.scorer import init_parameters, save_checkpoint
+
+        config, corpus = small_run_config(tmp_path)
+        ckpt = tmp_path / "init.bin"
+        save_checkpoint(init_parameters(
+            config.train.model_dims(config.embedder), 0), ckpt)
+        config.train = pipeline.TrainConfig(mode="intra", hidden=99, d_a=3)
+        ids = sorted(corpus.mentions)
+        with pytest.raises(ConfigError, match="match"):
+            pipeline.cmd_explain(config, ckpt, ids[0], ids[1], split="test")
+
     def test_unknown_mention_rejected(self, tmp_path):
         config, corpus = small_run_config(tmp_path)
         pipeline.cmd_train(config)

@@ -94,8 +94,9 @@ class TestTrain:
         config = TrainConfig(mode="intra", epochs=200, patience=None,
                              seed=0, learning_rate=1e-2, dropout=0.0,
                              batch_size=128, hidden=64, d_a=4)
-        params, history = train(small_corpus, SyntheticProvider(small_spec),
-                                EMB, config)
+        data = build_dataset(small_corpus, EMB, "intra",
+                             inference_source=SyntheticProvider(small_spec))
+        params, history = train(data, EMB, config)
         assert history["epochs"][-1]["train_loss"] < 0.05
 
     def test_deterministic_checkpoints(self, tmp_path, small_spec,
@@ -104,8 +105,10 @@ class TestTrain:
                              learning_rate=1e-3, hidden=16, d_a=2)
         paths = []
         for name in ("a.bin", "b.bin"):
-            params, _ = train(small_corpus, SyntheticProvider(small_spec),
-                              EMB, config)
+            data = build_dataset(
+                small_corpus, EMB, "intra",
+                inference_source=SyntheticProvider(small_spec))
+            params, _ = train(data, EMB, config)
             path = tmp_path / name
             save_checkpoint(params, path)
             paths.append(path)
@@ -113,37 +116,27 @@ class TestTrain:
 
     def test_seed_changes_outcome(self, small_spec, small_corpus):
         outs = []
+        data = build_dataset(small_corpus, EMB, "baseline")
         for seed in (0, 1):
             config = TrainConfig(mode="baseline", epochs=2, patience=None,
                                  seed=seed, hidden=8, d_a=2)
-            params, _ = train(small_corpus, None, EMB, config)
+            params, _ = train(data, EMB, config)
             outs.append(params.W1.copy())
         assert not np.array_equal(outs[0], outs[1])
-
-    def test_baseline_ignores_inference_source(self, small_corpus):
-        class Exploding:
-            def fingerprint(self, config):
-                raise AssertionError("provider touched")
-
-            def generate(self, *args):
-                raise AssertionError("provider touched")
-
-        config = TrainConfig(mode="baseline", epochs=1, patience=None,
-                             seed=0, hidden=8, d_a=2)
-        params, history = train(small_corpus, Exploding(), EMB, config)
-        assert len(history["epochs"]) == 1
 
     def test_early_stopping_stops(self, small_spec, small_corpus):
         config = TrainConfig(mode="baseline", epochs=50, patience=2, seed=0,
                              hidden=8, d_a=2, learning_rate=0.0)
-        params, history = train(small_corpus, None, EMB, config)
+        data = build_dataset(small_corpus, EMB, "baseline")
+        params, history = train(data, EMB, config)
         # zero learning rate: dev F1 never improves after epoch 0
         assert len(history["epochs"]) == 3  # epoch 0 + patience 2
 
     def test_history_records_loss_and_f1(self, small_corpus):
         config = TrainConfig(mode="baseline", epochs=2, patience=None,
                              seed=0, hidden=8, d_a=2)
-        _, history = train(small_corpus, None, EMB, config)
+        data = build_dataset(small_corpus, EMB, "baseline")
+        _, history = train(data, EMB, config)
         for entry in history["epochs"]:
             assert set(entry) == {"epoch", "train_loss", "dev_f1"}
 
