@@ -33,7 +33,6 @@ class EmbedderConfig:
     d_len: int = 20
     max_width_bucket: int = 8
     timeout: float = 30.0
-    max_concurrency: int = 4
 
     def __post_init__(self):
         if self.provider not in ("hash", "service"):
@@ -98,8 +97,7 @@ class ServiceEmbedder:
 
     Protocol: POST a JSON body ``{"sentences": [[token, ...], ...]}``; the
     response is ``{"vectors": [[[...], ...], ...], "d": int}``. Responses are
-    cached by (doc_id, provider fingerprint); at most ``max_concurrency``
-    requests are in flight at once.
+    cached by (doc_id, provider fingerprint).
     """
 
     def __init__(self, config: EmbedderConfig, session=None):
@@ -109,17 +107,15 @@ class ServiceEmbedder:
         self._session = session or requests.Session()
         self._cache: dict[tuple[str, str], list[np.ndarray]] = {}
         self._lock = threading.Lock()
-        self._gate = threading.Semaphore(config.max_concurrency)
 
     def _request(self, sentences) -> list[np.ndarray]:
         payload = {"sentences": [list(s) for s in sentences]}
-        with self._gate:
-            try:
-                resp = self._session.post(self.config.endpoint, json=payload,
-                                          timeout=self.config.timeout)
-            except requests.RequestException as exc:
-                raise EmbeddingError(
-                    f"embedding service unreachable: {exc}") from exc
+        try:
+            resp = self._session.post(self.config.endpoint, json=payload,
+                                      timeout=self.config.timeout)
+        except requests.RequestException as exc:
+            raise EmbeddingError(
+                f"embedding service unreachable: {exc}") from exc
         if resp.status_code != 200:
             raise EmbeddingError(
                 f"embedding service returned HTTP {resp.status_code}")

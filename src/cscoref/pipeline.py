@@ -547,9 +547,11 @@ def explain_pair(params: ModelParameters, corpus: Corpus, config: RunConfig,
     a, b = (corpus.mentions[m] for m in data.pair_names[0])
     relations = {}
     if mode != "baseline":
-        # attention row 0 is a's query, row 1 is b's; each row's sentence
-        # indices are already routed (own sets in intra, other's in inter)
-        for row, mention_id in enumerate((a.mention_id, b.mention_id)):
+        # cs row 0 is a's query, row 1 is b's; the inverse maps each to its
+        # attention row, whose sentence indices are already routed (own
+        # sets in intra, other's in inter)
+        for row, mention_id in zip(fw_cache["inverse"],
+                                   (a.mention_id, b.mention_id)):
             for rel in ("before", "after"):
                 att = fw_cache["att"][rel]
                 items = [(data.sentences[i], float(w)) for i, w in

@@ -357,10 +357,15 @@ def span_reps_backward(d_reps: np.ndarray, cache, d: int,
 
 def attention_forward(Q: np.ndarray, Kr: np.ndarray, kmask: np.ndarray,
                       W_q: np.ndarray, W_k: np.ndarray):
-    """Batched attention: Q (B, R), Kr (B, k, R), kmask (B, k)."""
+    """Batched attention: Q (B, R), Kr (B, k, R), kmask (B, k).
+
+    Each of the B rows is one (query, inference set) attention; the R-wide
+    projections run as 2-D matrix products over the flattened (B*k, R) keys.
+    """
+    b, k, r = Kr.shape
     d_a = W_q.shape[1]
     q_proj = Q @ W_q
-    k_proj = np.einsum("bkr,ra->bka", Kr, W_k)
+    k_proj = (Kr.reshape(b * k, r) @ W_k).reshape(b, k, d_a)
     scores = np.einsum("ba,bka->bk", q_proj, k_proj) / np.sqrt(d_a)
     weights = masked_softmax(scores, kmask)
     out = np.einsum("bk,bkr->br", weights, Kr)
@@ -374,17 +379,18 @@ def attention_backward(d_out: np.ndarray, cache, W_q: np.ndarray,
     Q, Kr = cache["Q"], cache["Kr"]
     q_proj, k_proj = cache["q_proj"], cache["k_proj"]
     weights = cache["weights"]
+    b, k, r = Kr.shape
     d_a = W_q.shape[1]
     d_w = np.einsum("br,bkr->bk", d_out, Kr)
     d_Kr = np.einsum("bk,br->bkr", weights, d_out)
     inner = (weights * d_w).sum(axis=1, keepdims=True)
     d_score = weights * (d_w - inner) / np.sqrt(d_a)
     d_qproj = np.einsum("bk,bka->ba", d_score, k_proj)
-    d_kproj = np.einsum("bk,ba->bka", d_score, q_proj)
+    d_kproj = np.einsum("bk,ba->bka", d_score, q_proj).reshape(b * k, d_a)
     g_Wq += Q.T @ d_qproj
-    g_Wk += np.einsum("bkr,bka->ra", Kr, d_kproj)
+    g_Wk += Kr.reshape(b * k, r).T @ d_kproj
     d_Q = d_qproj @ W_q.T
-    d_Kr += np.einsum("bka,ra->bkr", d_kproj, W_k)
+    d_Kr += (d_kproj @ W_k.T).reshape(b, k, r)
     return d_Q, d_Kr
 
 
@@ -395,7 +401,10 @@ class PairDataset:
     ``span_tensors`` holds one row per mention; ``sent_tensors`` one row per
     inference sentence, whose text is ``sentences[row]``.
     ``before_idx``/``after_idx`` map each mention row to its (up to k)
-    sentence rows, padded with -1.
+    sentence rows, padded with -1. A pair's commonsense blocks depend only on
+    (query mention row, source mention row), so ``forward_batch`` attends
+    once per distinct such pair in a batch: once per mention in intra mode,
+    once per ordered pair in inter mode.
     """
     mention_ids: list
     row_of: dict
@@ -422,6 +431,12 @@ def forward_batch(params: ModelParameters, data: PairDataset,
 
     When ``training`` is set the caller supplies the hidden-layer dropout
     mask so that a loss evaluation and its gradient share the same mask.
+
+    In the non-baseline modes the 2n cs rows (row c < n is pair c's first
+    mention, row n + c its second) are gathered from attention rows sorted
+    by (query row, source row): the cache's ``att_q`` holds each attention
+    row's query mention, ``att[rel]["idx"]`` its routed sentence rows, and
+    ``inverse[c]`` the attention row of cs row c.
     """
     dims = params.dims
     mode = dims.mode
@@ -442,7 +457,12 @@ def forward_batch(params: ModelParameters, data: PairDataset,
             data.sent_tensors, params.w_alpha, params.width_table)
         q_rows = np.concatenate([qi, qj])
         src_rows = q_rows if mode == "intra" else np.concatenate([qj, qi])
-        Q = span_reps[q_rows]
+        # cs row c attends with query q_rows[c] over src_rows[c]'s sets;
+        # run each distinct (query, source) pair once and gather back
+        m = len(data.span_tensors)
+        keys, inverse = np.unique(q_rows * m + src_rows, return_inverse=True)
+        att_q, att_src = np.divmod(keys, m)
+        Q = span_reps[att_q]
         att = {}
         cs_parts = []
         for rel, (W_q, W_k) in (("before", (params.W_q_before,
@@ -450,18 +470,17 @@ def forward_batch(params: ModelParameters, data: PairDataset,
                                 ("after", (params.W_q_after,
                                            params.W_k_after))):
             idx = (data.before_idx if rel == "before"
-                   else data.after_idx)[src_rows]
+                   else data.after_idx)[att_src]
             kmask = idx >= 0
             Kr = sent_reps[idx.clip(min=0)] * kmask[:, :, None]
             out, att_cache = attention_forward(Q, Kr, kmask, W_q, W_k)
             att[rel] = {"cache": att_cache, "idx": idx, "kmask": kmask}
             cs_parts.append(out)
-        cs = np.concatenate(cs_parts, axis=1)  # (2n, 2R)
+        cs = np.concatenate(cs_parts, axis=1)[inverse]  # (2n, 2R)
         G = np.concatenate([span_reps[qi], span_reps[qj],
                             cs[:n], cs[n:]], axis=1)
-        cache.update({"sent_cache": sent_cache, "att": att,
-                      "q_rows": q_rows, "src_rows": src_rows,
-                      "n_sent": len(data.sent_tensors)})
+        cache.update({"sent_cache": sent_cache, "att": att, "att_q": att_q,
+                      "inverse": inverse, "n_sent": len(data.sent_tensors)})
 
     z1 = G @ params.W1 + params.b1
     hidden = np.maximum(z1, 0.0)
@@ -508,10 +527,13 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
     np.add.at(d_span, qj, d_G[:, r:2 * r])
 
     if dims.mode != "baseline":
-        d_cs = np.concatenate([d_G[:, 2 * r:4 * r], d_G[:, 4 * r:6 * r]],
-                              axis=0)  # (2n, 2R)
+        att_q = cache["att_q"]
+        d_cs = np.zeros((len(att_q), 2 * r))  # summed onto attention rows
+        np.add.at(d_cs, cache["inverse"],
+                  np.concatenate([d_G[:, 2 * r:4 * r], d_G[:, 4 * r:6 * r]],
+                                 axis=0))
         d_sent = np.zeros((cache["n_sent"], r))
-        d_Q_total = np.zeros((2 * n, r))
+        d_Q_total = np.zeros((len(att_q), r))
         for part, rel in ((0, "before"), (1, "after")):
             att = cache["att"][rel]
             W_q = getattr(params, f"W_q_{rel}")
@@ -523,7 +545,7 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
             d_Q_total += d_Q
             kmask = att["kmask"]
             np.add.at(d_sent, att["idx"][kmask], d_Kr[kmask])
-        np.add.at(d_span, cache["q_rows"], d_Q_total)
+        np.add.at(d_span, att_q, d_Q_total)
         span_reps_backward(d_sent, cache["sent_cache"], dims.d, grads)
 
     span_reps_backward(d_span, cache["span_cache"], dims.d, grads)

@@ -390,6 +390,49 @@ class TestExplainCommand:
         assert trace.probability == pytest.approx(float(probs[0]),
                                                   rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["intra", "inter"])
+    def test_first_mention_on_higher_row(self, tmp_path, mode):
+        """Each mention's trace is its own routed set, whichever row order
+        the attention rows are stored in."""
+        import numpy as np
+
+        from cscoref.scorer import (attend, forward_batch, init_parameters,
+                                    span_reps_forward)
+
+        config, corpus = small_run_config(tmp_path, mode=mode)
+        params = init_parameters(config.train.model_dims(config.embedder), 0)
+        for name in ("W_q_before", "W_k_before", "W_q_after", "W_k_after"):
+            getattr(params, name)[...] *= 50
+        data = pipeline._dataset_for(config, corpus, "test", mode,
+                                     default_strict=False)
+        index = data.n_pairs - 1
+        low, high = data.pair_names[index]
+        assert data.row_of[high] > data.row_of[low]
+        trace = pipeline.explain_pair(params, corpus, config, high, low,
+                                      split="test")
+
+        probs, _ = forward_batch(params, data, np.array([index]))
+        assert trace.probability == pytest.approx(float(probs[0]), rel=1e-12)
+        span_reps, _ = span_reps_forward(data.span_tensors, params.w_alpha,
+                                         params.width_table)
+        sent_reps, _ = span_reps_forward(data.sent_tensors, params.w_alpha,
+                                         params.width_table)
+        routed = ({low: low, high: high} if mode == "intra"
+                  else {low: high, high: low})
+        assert len(trace.relations) == 4
+        for (mention_id, rel), items in trace.relations.items():
+            rows = getattr(data, f"{rel}_idx")[data.row_of[routed[mention_id]]]
+            rows = rows[rows >= 0]
+            expected = attend(span_reps[data.row_of[mention_id]],
+                              sent_reps[rows],
+                              getattr(params, f"W_q_{rel}"),
+                              getattr(params, f"W_k_{rel}")).weights
+            assert [s for s, _ in sorted(items)] == sorted(
+                data.sentences[i] for i in rows)
+            weights = dict(zip((data.sentences[i] for i in rows), expected))
+            for sentence, weight in items:
+                assert weight == pytest.approx(weights[sentence], rel=1e-9)
+
     def test_dims_mismatch_rejected(self, tmp_path):
         from cscoref.scorer import init_parameters, save_checkpoint
 

@@ -262,54 +262,160 @@ class TestGradients:
             batch_loss_from_dataset(params, data, sel), abs=1e-15)
 
 
+def composed_probabilities(params, data, sel):
+    """Pair-by-pair probabilities from the single-instance operations."""
+    from cscoref.embed import span_representation
+
+    mode = params.dims.mode
+
+    def mention_rep(row):
+        t = data.span_tensors
+        length = t.lengths[row]
+        return span_representation(
+            [t.X[row, :length]], 0, 0, length - 1, params.w_alpha,
+            params.width_table).full
+
+    def sentence_reps(rows):
+        reps = []
+        for row in rows:
+            if row < 0:
+                continue
+            t = data.sent_tensors
+            length = t.lengths[row]
+            reps.append(span_representation(
+                [t.X[row, :length]], 0, 0, length - 1, params.w_alpha,
+                params.width_table).full)
+        return reps
+
+    out = []
+    for p in sel:
+        i, j = data.pair_i[p], data.pair_j[p]
+        ctx_i, ctx_j = mention_rep(i), mention_rep(j)
+        if mode == "baseline":
+            g = pair_features(ctx_i, ctx_j, None, None, mode).g
+        else:
+            src_i = i if mode == "intra" else j
+            src_j = j if mode == "intra" else i
+            cs_i, _ = commonsense_vector(
+                mode, ctx_i, sentence_reps(data.before_idx[src_i]),
+                sentence_reps(data.after_idx[src_i]), params)
+            cs_j, _ = commonsense_vector(
+                mode, ctx_j, sentence_reps(data.before_idx[src_j]),
+                sentence_reps(data.after_idx[src_j]), params)
+            g = pair_features(ctx_i, ctx_j, cs_i, cs_j, mode).g
+        out.append(score_pair(params, g))
+    return out
+
+
 class TestBatchSingleConsistency:
     """The vectorized batch path must agree with the single-instance ops."""
 
     @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
     def test_forward_matches_composition(self, mode, rng):
-        from cscoref.embed import span_representation
-
         dims = ModelDims(d=3, d_len=2, d_a=2, h=4, mode=mode)
         params = init_parameters(dims, 1)
         data = make_random_dataset(dims, 99, n_mentions=5, n_pairs=6, k=3)
         probs, _ = forward_batch(params, data, np.arange(6))
-
-        def mention_rep(row):
-            t = data.span_tensors
-            length = t.lengths[row]
-            return span_representation(
-                [t.X[row, :length]], 0, 0, length - 1, params.w_alpha,
-                params.width_table).full
-
-        def sentence_reps(rows):
-            reps = []
-            for row in rows:
-                if row < 0:
-                    continue
-                t = data.sent_tensors
-                length = t.lengths[row]
-                reps.append(span_representation(
-                    [t.X[row, :length]], 0, 0, length - 1, params.w_alpha,
-                    params.width_table).full)
-            return reps
-
+        expected = composed_probabilities(params, data, range(6))
         for p in range(6):
-            i, j = data.pair_i[p], data.pair_j[p]
-            ctx_i, ctx_j = mention_rep(i), mention_rep(j)
-            if mode == "baseline":
-                g = pair_features(ctx_i, ctx_j, None, None, mode).g
-            else:
-                src_i = i if mode == "intra" else j
-                src_j = j if mode == "intra" else i
-                cs_i, _ = commonsense_vector(
-                    mode, ctx_i, sentence_reps(data.before_idx[src_i]),
-                    sentence_reps(data.after_idx[src_i]), params)
-                cs_j, _ = commonsense_vector(
-                    mode, ctx_j, sentence_reps(data.before_idx[src_j]),
-                    sentence_reps(data.after_idx[src_j]), params)
-                g = pair_features(ctx_i, ctx_j, cs_i, cs_j, mode).g
-            expected = score_pair(params, g)
-            assert probs[p] == pytest.approx(expected, abs=1e-12)
+            assert probs[p] == pytest.approx(expected[p], abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["intra", "inter"])
+    def test_attention_runs_once_per_distinct_row(self, mode, monkeypatch):
+        """Intra attends once per mention, inter once per ordered pair."""
+        from cscoref import scorer
+
+        dims = ModelDims(d=3, d_len=2, d_a=2, h=4, mode=mode)
+        params = init_parameters(dims, 1)
+        for name in ("W_q_before", "W_k_before", "W_q_after", "W_k_after"):
+            getattr(params, name)[...] *= 50
+        data = make_random_dataset(dims, 7, n_mentions=6, n_pairs=24, k=3)
+        sel = np.arange(24)
+        qi, qj = data.pair_i[sel], data.pair_j[sel]
+        if mode == "intra":
+            distinct = len(set(qi) | set(qj))
+        else:
+            distinct = len(set(zip(qi, qj)) | set(zip(qj, qi)))
+        assert distinct < 2 * len(sel)  # the pairs share mentions
+
+        query_rows = []
+        kernel = scorer.attention_forward
+
+        def spy(Q, Kr, kmask, W_q, W_k):
+            query_rows.append(Q.shape[0])
+            return kernel(Q, Kr, kmask, W_q, W_k)
+
+        monkeypatch.setattr(scorer, "attention_forward", spy)
+        probs, _ = forward_batch(params, data, sel)
+        assert query_rows == [distinct, distinct]  # before, after
+        expected = composed_probabilities(params, data, sel)
+        for p in sel:
+            assert probs[p] == pytest.approx(expected[p], rel=1e-12)
+
+
+def einsum_attention_forward(Q, Kr, kmask, W_q, W_k):
+    """Per-row einsum formulation of the attention kernel."""
+    from cscoref.scorer import masked_softmax
+
+    d_a = W_q.shape[1]
+    q_proj = Q @ W_q
+    k_proj = np.einsum("bkr,ra->bka", Kr, W_k)
+    scores = np.einsum("ba,bka->bk", q_proj, k_proj) / np.sqrt(d_a)
+    weights = masked_softmax(scores, kmask)
+    return np.einsum("bk,bkr->br", weights, Kr), q_proj, k_proj, weights
+
+
+def einsum_attention_backward(d_out, Q, Kr, W_q, W_k, q_proj, k_proj,
+                              weights):
+    d_a = W_q.shape[1]
+    d_w = np.einsum("br,bkr->bk", d_out, Kr)
+    inner = (weights * d_w).sum(axis=1, keepdims=True)
+    d_score = weights * (d_w - inner) / np.sqrt(d_a)
+    d_qproj = np.einsum("bk,bka->ba", d_score, k_proj)
+    d_kproj = np.einsum("bk,ba->bka", d_score, q_proj)
+    g_Wq = Q.T @ d_qproj
+    g_Wk = np.einsum("bkr,bka->ra", Kr, d_kproj)
+    d_Q = d_qproj @ W_q.T
+    d_Kr = (np.einsum("bk,br->bkr", weights, d_out)
+            + np.einsum("bka,ra->bkr", d_kproj, W_k))
+    return d_Q, d_Kr, g_Wq, g_Wk
+
+
+class TestAttentionKernels:
+    """The GEMM kernels compute the per-row einsum math."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_einsum_reference(self, seed):
+        from cscoref.scorer import attention_backward, attention_forward
+
+        rng = np.random.default_rng(seed)
+        b, k, r, d_a = 9, 4, 7, 3
+        kmask = rng.random((b, k)) < 0.6
+        kmask[0] = False             # fully masked row
+        kmask[1] = True              # full row
+        kmask[2] = [True] + [False] * (k - 1)
+        Kr = rng.standard_normal((b, k, r)) * kmask[:, :, None]
+        Q = rng.standard_normal((b, r))
+        W_q = rng.standard_normal((r, d_a))
+        W_k = rng.standard_normal((r, d_a))
+        d_out = rng.standard_normal((b, r))
+
+        out, cache = attention_forward(Q, Kr, kmask, W_q, W_k)
+        ref_out, q_proj, k_proj, weights = einsum_attention_forward(
+            Q, Kr, kmask, W_q, W_k)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache["weights"], weights, rtol=0,
+                                   atol=1e-12)
+        assert not cache["weights"][0].any()
+        assert not out[0].any()
+
+        g_Wq, g_Wk = np.zeros_like(W_q), np.zeros_like(W_k)
+        d_Q, d_Kr = attention_backward(d_out, cache, W_q, W_k, g_Wq, g_Wk)
+        for got, want in zip(
+                (d_Q, d_Kr, g_Wq, g_Wk),
+                einsum_attention_backward(d_out, Q, Kr, W_q, W_k, q_proj,
+                                          k_proj, weights)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:
