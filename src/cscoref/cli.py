@@ -2,7 +2,11 @@
 
 Subcommands: synth, gen-inferences, train, predict, score, explain,
 gradcheck. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error.
+configuration error, 3 runtime failure (an unreadable checkpoint, a failed
+embedding or generation request, a non-finite training loss). Errors print
+one ``error:`` line to stderr; a ``train`` or ``predict`` run directory that
+was opened is marked ``"status": "failed"`` with the error's class and
+message in ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,11 @@ import argparse
 import sys
 
 from . import pipeline
-from .pipeline import EXIT_OK, EXIT_USAGE, ConfigError, load_run_config
+from .commonsense import InferenceError
+from .embed import EmbeddingError
+from .pipeline import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, ConfigError,
+                       load_run_config)
+from .scorer import ScorerError
 from .synthgen import SyntheticSpec
 
 
@@ -143,6 +151,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ScorerError, EmbeddingError, InferenceError,
+            FloatingPointError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

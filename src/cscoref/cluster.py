@@ -5,35 +5,44 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Clustering
 
 
 class ScoreMatrix:
-    """Symmetric pairwise probabilities over a declared mention set."""
+    """Symmetric pairwise probabilities over a declared mention set.
+
+    Scores live in a dense float64 matrix over the sorted ids; an unset
+    pair holds NaN, which no accepted score can be.
+    """
 
     def __init__(self, mention_ids):
         ids = list(mention_ids)
         self.mention_ids = sorted(set(ids))
         if len(self.mention_ids) != len(ids):
             raise ValueError("duplicate mention ids")
-        self._scores: dict[tuple[str, str], float] = {}
+        self._row = {m: i for i, m in enumerate(self.mention_ids)}
+        n = len(self.mention_ids)
+        self._scores = np.full((n, n), np.nan)
 
-    @staticmethod
-    def _key(a: str, b: str) -> tuple[str, str]:
+    def _rows(self, a: str, b: str) -> tuple[int, int]:
         if a == b:
             raise ValueError(f"diagonal entry for {a!r} is unused")
-        return (a, b) if a < b else (b, a)
+        return self._row[a], self._row[b]
 
     def set(self, a: str, b: str, score: float):
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score {score} outside [0, 1]")
-        self._scores[self._key(a, b)] = float(score)
+        i, j = self._rows(a, b)
+        self._scores[i, j] = self._scores[j, i] = float(score)
 
     def get(self, a: str, b: str) -> float:
-        key = self._key(a, b)
-        if key not in self._scores:
-            raise KeyError(f"no score for pair {key}")
-        return self._scores[key]
+        i, j = self._rows(a, b)
+        score = self._scores[i, j]
+        if np.isnan(score):
+            raise KeyError(f"no score for pair {tuple(sorted((a, b)))}")
+        return float(score)
 
 
 @dataclass
@@ -49,6 +58,59 @@ class ClusteringConfig:
             raise ValueError("threshold must be in [0, 1]")
 
 
+def merge_sequence(ids, scores: ScoreMatrix) -> list[tuple[float, str, str]]:
+    """Average-linkage merges of ``ids`` all the way to one cluster.
+
+    Each step is ``(average, a, b)``: cluster ``b`` merges into cluster
+    ``a``, both named after their smallest member (``a < b``), at the
+    average pairwise score between them. A step takes the highest average;
+    ties go to the lexicographically smallest (a, b) pair. Raises KeyError
+    when a pair of ``ids`` has no score.
+    """
+    ids = sorted(ids)
+    n = len(ids)
+    rows = [scores._row[m] for m in ids]
+    sums = scores._scores[np.ix_(rows, rows)]
+    unset = np.isnan(sums)
+    np.fill_diagonal(unset, False)
+    if unset.any():
+        i, j = np.argwhere(unset)[0]
+        raise KeyError(f"no score for pair {(ids[i], ids[j])}")
+    np.fill_diagonal(sums, 0.0)
+
+    # rows are sorted ids and a cluster keeps its smallest member's row, so
+    # argmax's first maximum in row-major order over the upper triangle is
+    # the smallest (min-member, min-member) pair
+    avg = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), sums, -np.inf)
+    size = np.ones(n)
+    live = np.ones(n, dtype=bool)
+    steps = []
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmax(avg)), n)
+        steps.append((float(avg[a, b]), ids[a], ids[b]))
+        sums[a] = sums[a] + sums[b]
+        sums[:, a] = sums[a]
+        size[a] += size[b]
+        live[b] = False
+        avg[b] = avg[:, b] = -np.inf
+        row = np.where(live, sums[a] / (size[a] * size), -np.inf)
+        avg[a, a + 1:] = row[a + 1:]
+        avg[:a, a] = row[:a]
+    return steps
+
+
+def cut_merge_sequence(ids, steps, threshold: float) -> Clustering:
+    """The partition after the merges of ``steps`` that come before the
+    first one whose average is below ``threshold``."""
+    clusters = {m: [m] for m in sorted(ids)}
+    for average, a, b in steps:
+        if average < threshold:
+            break
+        clusters[a] += clusters.pop(b)
+    return Clustering({m: rep for rep, members in clusters.items()
+                       for m in members})
+
+
 def agglomerative_cluster(mentions, scores: ScoreMatrix,
                           config: ClusteringConfig) -> Clustering:
     """Merge the most similar cluster pair until similarity drops below the
@@ -58,42 +120,17 @@ def agglomerative_cluster(mentions, scores: ScoreMatrix,
     broken toward the lexicographically smallest (min-member, min-member)
     pair, making the merge sequence deterministic. Each output cluster is
     named after its smallest member mention id.
+
+    The threshold only decides where that sequence stops, so the clustering
+    is ``merge_sequence`` run to one cluster, then cut before the first merge
+    whose average is below ``config.threshold``
+    (``cut_merge_sequence``). A caller that needs several thresholds records
+    the sequence once and cuts it at each. Raises KeyError when the matrix
+    has no score for some pair of ``mentions``.
     """
     ids = sorted(mentions)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            scores.get(a, b)  # raises KeyError if the matrix is not total
-
-    clusters: dict[str, set[str]] = {m: {m} for m in ids}
-    # running sums of inter-cluster pairwise scores, keyed by rep pair
-    link_sum: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            link_sum[(a, b)] = scores.get(a, b)
-
-    while len(clusters) > 1:
-        best = None
-        for (a, b), total in link_sum.items():
-            avg = total / (len(clusters[a]) * len(clusters[b]))
-            if best is None or avg > best[0] or (avg == best[0]
-                                                 and (a, b) < best[1]):
-                best = (avg, (a, b))
-        best_avg, (a, b) = best
-        if best_avg < config.threshold:
-            break
-        # merge b into a (a < b, so a stays the min-member representative)
-        clusters[a] |= clusters[b]
-        del clusters[b]
-        del link_sum[(a, b)]
-        for c in clusters:
-            if c == a:
-                continue
-            key_cb = (min(b, c), max(b, c))
-            key_ca = (min(a, c), max(a, c))
-            link_sum[key_ca] = link_sum[key_ca] + link_sum.pop(key_cb)
-
-    return Clustering({m: rep for rep, members in clusters.items()
-                       for m in members})
+    return cut_merge_sequence(ids, merge_sequence(ids, scores),
+                              config.threshold)
 
 
 def write_clustering(clustering: Clustering, path, metadata: dict):

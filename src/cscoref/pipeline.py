@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -30,13 +31,15 @@ from .scorer import (ModelParameters, forward_batch, load_checkpoint,
                      save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
-from .training import (TrainConfig, build_dataset, gradcheck,
-                       predict_clustering, train, tune_threshold,
+from .training import (TrainConfig, build_dataset, cluster_from_scores,
+                       gradcheck, predict_clustering, score_dataset,
+                       scores_as_lookup, train, tune_threshold_from_scores,
                        DEFAULT_THRESHOLD_GRID)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_RUNTIME = 3
 
 
 class ConfigError(ValueError):
@@ -308,15 +311,30 @@ def open_run_dir(config: RunConfig, command: str) -> str:
     return out
 
 
-def finalize_run_dir(out: str):
+def _close_run_dir(out: str, status: str, **fields):
     manifest_path = os.path.join(out, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    manifest["status"] = "completed"
+    manifest.update(status=status, **fields)
     manifest["finished_at"] = time.time()
     manifest["elapsed_s"] = manifest["finished_at"] - manifest["started_at"]
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
+
+
+@contextmanager
+def run_dir(config: RunConfig, command: str):
+    """The run directory of one command: ``completed`` when the body
+    returns, ``failed`` with the error's class and message when it raises
+    (the error propagates)."""
+    out = open_run_dir(config, command)
+    try:
+        yield out
+    except BaseException as exc:
+        _close_run_dir(out, "failed", error={"type": type(exc).__name__,
+                                             "message": str(exc)})
+        raise
+    _close_run_dir(out, "completed")
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -401,80 +419,81 @@ def _load_checked_checkpoint(config: RunConfig,
 def cmd_train(config: RunConfig) -> int:
     _require_paths(config, ["train"] + (["dev"] if "dev"
                                         in config.corpus_paths else []))
-    out = open_run_dir(config, "train")
-    mode = config.train.mode
-    train_corpus = load_corpus(config.corpus_paths["train"])
-    train_data = _dataset_for(config, train_corpus, "train", mode)
-    if "dev" in config.corpus_paths:
-        eval_corpus = load_corpus(config.corpus_paths["dev"])
-        dev_data = _dataset_for(config, eval_corpus, "dev", mode)
-    else:
-        eval_corpus, dev_data = train_corpus, train_data
-
-    dev_conlls = []
-    for seed in config.seeds:
-        train_config = replace(config.train, seed=seed)
-        params, history = train(train_data, config.embedder, train_config,
-                                dev_data=dev_data)
-        ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.bin")
-        save_checkpoint(params, ckpt_path)
-        if config.threshold is not None:
-            tau = config.threshold
+    with run_dir(config, "train") as out:
+        mode = config.train.mode
+        train_corpus = load_corpus(config.corpus_paths["train"])
+        train_data = _dataset_for(config, train_corpus, "train", mode)
+        if "dev" in config.corpus_paths:
+            eval_corpus = load_corpus(config.corpus_paths["dev"])
+            dev_data = _dataset_for(config, eval_corpus, "dev", mode)
         else:
-            tau = tune_threshold(params, eval_corpus,
-                                 grid=config.threshold_grid,
-                                 dataset=dev_data,
-                                 scope=config.cluster_scope,
-                                 eval_options=config.eval_options)
-        system = predict_clustering(params, eval_corpus, dev_data, tau,
-                                    scope=config.cluster_scope)
-        report = evaluate(eval_corpus, system, config.eval_options)
-        dev_conlls.append(report.conll_f1)
-        with open(os.path.join(out, f"history_seed{seed}.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"history": history, "tau": tau,
-                       "dev_conll_f1": report.conll_f1}, fh, indent=2)
-        print(f"seed {seed}: best dev pairwise F1 "
-              f"{history['best_dev_f1']:.4f}, tau {tau:.2f}, "
-              f"dev CoNLL {report.conll_f1:.4f}")
+            eval_corpus, dev_data = train_corpus, train_data
 
-    mean, std = mean_std(dev_conlls)
-    summary = {"mode": mode, "seeds": list(config.seeds),
-               "dev_conll_f1": dev_conlls,
-               "mean": mean, "std": std}
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-    print(f"dev CoNLL F1 over {len(dev_conlls)} seeds: "
-          f"{mean:.4f} +- {std:.4f}")
-    finalize_run_dir(out)
+        dev_conlls = []
+        for seed in config.seeds:
+            train_config = replace(config.train, seed=seed)
+            params, history = train(train_data, config.embedder,
+                                    train_config, dev_data=dev_data)
+            ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.bin")
+            save_checkpoint(params, ckpt_path)
+            probs = score_dataset(params, dev_data)
+            lookup = scores_as_lookup(dev_data, probs)
+            if config.threshold is not None:
+                tau = config.threshold
+            else:
+                tau = tune_threshold_from_scores(
+                    eval_corpus, lookup, grid=config.threshold_grid,
+                    scope=config.cluster_scope,
+                    eval_options=config.eval_options)
+            system = cluster_from_scores(eval_corpus, lookup, tau,
+                                         scope=config.cluster_scope)
+            report = evaluate(eval_corpus, system, config.eval_options)
+            dev_conlls.append(report.conll_f1)
+            with open(os.path.join(out, f"history_seed{seed}.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump({"history": history, "tau": tau,
+                           "dev_conll_f1": report.conll_f1}, fh, indent=2)
+            print(f"seed {seed}: best dev pairwise F1 "
+                  f"{history['best_dev_f1']:.4f}, tau {tau:.2f}, "
+                  f"dev CoNLL {report.conll_f1:.4f}")
+
+        mean, std = mean_std(dev_conlls)
+        summary = {"mode": mode, "seeds": list(config.seeds),
+                   "dev_conll_f1": dev_conlls,
+                   "mean": mean, "std": std}
+        with open(os.path.join(out, "summary.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+        print(f"dev CoNLL F1 over {len(dev_conlls)} seeds: "
+              f"{mean:.4f} +- {std:.4f}")
     return EXIT_OK
 
 
 def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
                 tau: Optional[float] = None) -> int:
     _require_paths(config, [split])
-    out = open_run_dir(config, "predict")
-    corpus = load_corpus(config.corpus_paths[split])
-    params = _load_checked_checkpoint(config, checkpoint_path)
-    mode = params.dims.mode
-    data = _dataset_for(config, corpus, split, mode, default_strict=False)
-    if tau is None:
-        tau = config.threshold
-    if tau is None:
-        raise ConfigError("no threshold: pass --tau or set [cluster] "
-                          "threshold")
-    system = predict_clustering(params, corpus, data, tau,
-                                scope=config.cluster_scope)
-    clustering_path = os.path.join(out, f"clustering_{split}.jsonl")
-    write_clustering(system, clustering_path, metadata={
-        "tau": tau, "linkage": "average", "scope": config.cluster_scope,
-        "checkpoint": os.path.basename(str(checkpoint_path)),
-        "mode": mode})
-    report = evaluate(corpus, system, config.eval_options)
-    _write_report(report, out, split)
-    print(report.render_table())
-    print(f"CoNLL F1: {report.conll_f1:.4f}")
-    finalize_run_dir(out)
+    with run_dir(config, "predict") as out:
+        corpus = load_corpus(config.corpus_paths[split])
+        params = _load_checked_checkpoint(config, checkpoint_path)
+        mode = params.dims.mode
+        data = _dataset_for(config, corpus, split, mode,
+                            default_strict=False)
+        if tau is None:
+            tau = config.threshold
+        if tau is None:
+            raise ConfigError("no threshold: pass --tau or set [cluster] "
+                              "threshold")
+        system = predict_clustering(params, corpus, data, tau,
+                                    scope=config.cluster_scope)
+        clustering_path = os.path.join(out, f"clustering_{split}.jsonl")
+        write_clustering(system, clustering_path, metadata={
+            "tau": tau, "linkage": "average", "scope": config.cluster_scope,
+            "checkpoint": os.path.basename(str(checkpoint_path)),
+            "mode": mode})
+        report = evaluate(corpus, system, config.eval_options)
+        _write_report(report, out, split)
+        print(report.render_table())
+        print(f"CoNLL F1: {report.conll_f1:.4f}")
     return EXIT_OK
 
 

@@ -606,12 +606,16 @@ def load_checkpoint(path, expected: Optional[ModelDims] = None
         magic = fh.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ScorerError(f"{path}: not a checkpoint file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        dims = ModelDims(d=header["d"], d_len=header["d_len"],
-                         d_a=header["d_a"], h=header["h"],
-                         mode=header["mode"],
-                         max_width_bucket=header["max_width_bucket"],
-                         version=header["version"])
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            dims = ModelDims(d=header["d"], d_len=header["d_len"],
+                             d_a=header["d_a"], h=header["h"],
+                             mode=header["mode"],
+                             max_width_bucket=header["max_width_bucket"],
+                             version=header["version"])
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
+                TypeError) as exc:
+            raise ScorerError(f"{path}: corrupt checkpoint header") from exc
         if expected is not None and dims != expected:
             raise ScorerError(
                 f"checkpoint header {dims} does not match configured "

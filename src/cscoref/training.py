@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cluster import ClusteringConfig, ScoreMatrix, agglomerative_cluster
+from .cluster import (ClusteringConfig, ScoreMatrix, agglomerative_cluster,
+                      cut_merge_sequence, merge_sequence)
 from .commonsense import GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
@@ -242,10 +243,8 @@ def scores_as_lookup(data: PairDataset, probs: np.ndarray) -> dict:
             for name, p in zip(data.pair_names, probs)}
 
 
-def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
-                        scope: str = "subtopic") -> Clustering:
-    """Cluster every scope unit at threshold tau from a pair-score lookup."""
-    config = ClusteringConfig(threshold=tau, scope=scope)
+def _scope_units(corpus: Corpus, scope: str) -> list[list[str]]:
+    """Sorted mention ids of each clustering unit, units in sorted order."""
     units: dict[str, list[str]] = {}
     for m in corpus.mentions.values():
         if scope == "subtopic":
@@ -255,14 +254,25 @@ def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
         else:
             unit = ""
         units.setdefault(unit, []).append(m.mention_id)
+    return [sorted(units[unit]) for unit in sorted(units)]
+
+
+def _unit_matrix(ids: list[str], score_lookup: dict) -> ScoreMatrix:
+    matrix = ScoreMatrix(ids)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            matrix.set(a, b, score_lookup[(a, b)])
+    return matrix
+
+
+def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
+                        scope: str = "subtopic") -> Clustering:
+    """Cluster every scope unit at threshold tau from a pair-score lookup."""
+    config = ClusteringConfig(threshold=tau, scope=scope)
     assignment = {}
-    for unit in sorted(units):
-        ids = sorted(units[unit])
-        matrix = ScoreMatrix(ids)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                matrix.set(a, b, score_lookup[(a, b) if a < b else (b, a)])
-        part = agglomerative_cluster(ids, matrix, config)
+    for ids in _scope_units(corpus, scope):
+        part = agglomerative_cluster(ids, _unit_matrix(ids, score_lookup),
+                                     config)
         assignment.update(part.assignment)
     return Clustering(assignment)
 
@@ -273,15 +283,26 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
                                eval_options: Optional[EvalOptions] = None
                                ) -> float:
     """Grid-search tau maximizing CoNLL F1 through the full cluster+evaluate
-    path; ties break toward the larger threshold."""
+    path; ties break toward the larger threshold.
+
+    Each scope unit's merge sequence is recorded once and cut at every grid
+    value, which gives the clustering ``cluster_from_scores`` returns at
+    that value.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("empty threshold grid")
+    for tau in grid:  # a tau outside [0, 1] raises ValueError
+        ClusteringConfig(threshold=tau, scope=scope)
     eval_options = eval_options or EvalOptions()
+    sequences = [(ids, merge_sequence(ids, _unit_matrix(ids, score_lookup)))
+                 for ids in _scope_units(corpus, scope)]
     best = None
     for tau in grid:
-        system = cluster_from_scores(corpus, score_lookup, tau, scope=scope)
-        report = evaluate(corpus, system, eval_options)
+        assignment = {}
+        for ids, steps in sequences:
+            assignment.update(cut_merge_sequence(ids, steps, tau).assignment)
+        report = evaluate(corpus, Clustering(assignment), eval_options)
         key = (report.conll_f1, tau)
         if best is None or key >= best:
             best = key

@@ -2,7 +2,9 @@
 
 These share no code with the library: MUC recall is computed by union-find
 link counting, B-cubed by raw per-mention loops, and the CEAF alignment by
-exhaustive enumeration of injective cluster matchings.
+exhaustive enumeration of injective cluster matchings. The clustering
+oracle is the original dict-based average-linkage merge loop, which
+re-runs the whole merge sequence for each threshold.
 """
 
 import itertools
@@ -113,3 +115,43 @@ def random_clustering(rng, mentions, max_clusters):
     """Uniformly random assignment of the mentions to at most max_clusters."""
     n = max(1, int(rng.integers(1, max_clusters + 1)))
     return {m: f"c{int(rng.integers(n))}" for m in mentions}
+
+
+def agglomerative_cluster_oracle(mentions, scores, threshold):
+    """Average linkage stopped at ``threshold``, one dict merge step at a
+    time; ``scores.get(a, b)`` returns the pair's score. Returns the
+    assignment mention -> smallest member of its cluster."""
+    ids = sorted(mentions)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            scores.get(a, b)  # raises KeyError if the matrix is not total
+
+    clusters: dict[str, set[str]] = {m: {m} for m in ids}
+    # running sums of inter-cluster pairwise scores, keyed by rep pair
+    link_sum: dict[tuple[str, str], float] = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            link_sum[(a, b)] = scores.get(a, b)
+
+    while len(clusters) > 1:
+        best = None
+        for (a, b), total in link_sum.items():
+            avg = total / (len(clusters[a]) * len(clusters[b]))
+            if best is None or avg > best[0] or (avg == best[0]
+                                                 and (a, b) < best[1]):
+                best = (avg, (a, b))
+        best_avg, (a, b) = best
+        if best_avg < threshold:
+            break
+        # merge b into a (a < b, so a stays the min-member representative)
+        clusters[a] |= clusters[b]
+        del clusters[b]
+        del link_sum[(a, b)]
+        for c in clusters:
+            if c == a:
+                continue
+            key_cb = (min(b, c), max(b, c))
+            key_ca = (min(a, c), max(a, c))
+            link_sum[key_ca] = link_sum[key_ca] + link_sum.pop(key_cb)
+
+    return {m: rep for rep, members in clusters.items() for m in members}

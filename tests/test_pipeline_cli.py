@@ -478,6 +478,96 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out == first
 
 
+def cli_ini(tmp_path, config, out):
+    ini = tmp_path / "cli.ini"
+    ini.write_text(f"""
+[run]
+out = {out}
+seeds = 0
+
+[corpus]
+train = {config.corpus_paths['train']}
+test = {config.corpus_paths['test']}
+
+[embedder]
+d = 8
+d_len = 4
+max_width_bucket = 4
+
+[commonsense]
+provider = fixture
+fixtures = {config.commonsense.fixtures['test']}
+
+[train]
+epochs = 1
+hidden = 16
+d_a = 2
+""", encoding="utf-8")
+    return ini
+
+
+class TestRuntimeFailures:
+    @pytest.mark.parametrize("corruption", ["truncated", "header"])
+    def test_corrupt_checkpoint_exits_three_run_failed(
+            self, tmp_path, capsys, corruption):
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        blob = (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes()
+        if corruption == "truncated":
+            blob = blob[:len(blob) // 2]
+        else:
+            magic_end = blob.index(b"\n") + 1
+            blob = blob[:magic_end] + b"{not json\n" + blob[magic_end:]
+        ckpt = tmp_path / "corrupt.bin"
+        ckpt.write_bytes(blob)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert code == pipeline.EXIT_RUNTIME == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScorerError: ")
+        assert err.count("\n") == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["type"] == "ScorerError"
+        assert "checkpoint" in manifest["error"]["message"]
+
+    def test_non_finite_loss_exits_three_run_failed(
+            self, tmp_path, capsys, monkeypatch):
+        config, _ = small_run_config(tmp_path)
+
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("non-finite training loss at epoch 0")
+
+        monkeypatch.setattr(pipeline, "train", diverge)
+        out = tmp_path / "train"
+        code = cli.main(["train", "--config",
+                         str(cli_ini(tmp_path, config, out))])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {
+            "type": "FloatingPointError",
+            "message": "non-finite training loss at epoch 0"}
+
+    def test_config_error_inside_run_marks_failed(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        out = tmp_path / "pred"
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint",
+                         str(Path(config.out_dir) / "checkpoint_seed0.bin")])
+        assert code == pipeline.EXIT_USAGE
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["type"] == "ConfigError"
+        assert "threshold" in manifest["error"]["message"]
+
+
 class TestCliWiring:
     def test_gen_inferences(self, tmp_path, capsys):
         config, corpus = small_run_config(tmp_path)

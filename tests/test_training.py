@@ -7,6 +7,9 @@ from cscoref.embed import EmbedderConfig
 from cscoref.scorer import ModelDims, init_parameters, save_checkpoint
 from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
+from cscoref import training
+from cscoref.cluster import merge_sequence
+from cscoref.metrics import evaluate
 from cscoref.training import (Adam, TrainConfig, build_dataset,
                               cluster_from_scores, gradcheck,
                               make_random_dataset, pairwise_f1,
@@ -199,6 +202,78 @@ class TestThreshold:
         corpus, lookup = self.lookup()
         system = cluster_from_scores(corpus, lookup, 0.5)
         assert system == corpus.gold_clustering()
+
+
+def random_corpus(rng):
+    """1-3 topics of 1-2 subtopics, 1-6 mentions each, with gold clusters
+    inside subtopics and one pair-score lookup over every mention pair."""
+    docs, mentions = [], []
+    for t in range(int(rng.integers(1, 4))):
+        for s in range(int(rng.integers(1, 3))):
+            doc = f"d{t}_{s}"
+            docs.append(Document(doc, f"t{t}", f"t{t}_s{s}", [["evt"]]))
+            for i in range(int(rng.integers(1, 7))):
+                mentions.append(Mention(
+                    f"m{int(rng.integers(100)):02d}_{t}{s}{i}", doc, 0, 0, 0,
+                    "evt", gold_cluster_id=f"k{t}{s}{int(rng.integers(3))}"))
+    ids = sorted(m.mention_id for m in mentions)
+    quantized = rng.random() < 0.5
+    lookup = {(a, b): (float(rng.integers(0, 5)) / 4 if quantized
+                       else float(rng.random()))
+              for i, a in enumerate(ids) for b in ids[i + 1:]}
+    return Corpus(docs, mentions), lookup
+
+
+def reference_tune(corpus, lookup, grid, scope):
+    """Cluster from scratch and evaluate at every grid value; ties go to the
+    larger threshold."""
+    best = None
+    for tau in grid:
+        report = evaluate(corpus, cluster_from_scores(corpus, lookup, tau,
+                                                      scope=scope))
+        key = (report.conll_f1, tau)
+        if best is None or key >= best:
+            best = key
+    return best[1]
+
+
+class TestTuneOnMergeSequences:
+    @pytest.mark.parametrize("scope", ["subtopic", "topic", "corpus"])
+    def test_matches_per_threshold_clustering(self, rng, scope):
+        for _ in range(30):
+            corpus, lookup = random_corpus(rng)
+            grid = DEFAULT_THRESHOLD_GRID + (0.0, 1.0)
+            assert (tune_threshold_from_scores(corpus, lookup, grid=grid,
+                                               scope=scope)
+                    == reference_tune(corpus, lookup, grid, scope))
+
+    @pytest.mark.parametrize("scope", ["subtopic", "topic", "corpus"])
+    def test_one_merge_sequence_per_unit(self, rng, monkeypatch, scope):
+        corpus, lookup = random_corpus(rng)
+        sequences = []
+
+        def spy(ids, scores):
+            sequences.append(tuple(ids))
+            return merge_sequence(ids, scores)
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("tuning re-clustered a unit")
+
+        monkeypatch.setattr(training, "merge_sequence", spy)
+        monkeypatch.setattr(training, "agglomerative_cluster", no_clustering)
+        tune_threshold_from_scores(corpus, lookup, scope=scope)
+        units = {(corpus.subtopic_of(m) if scope == "subtopic"
+                  else corpus.topic_of(m) if scope == "topic" else "")
+                 for m in corpus.mentions.values()}
+        assert len(sequences) == len(units)
+        assert sorted(m for ids in sequences for m in ids) == sorted(
+            corpus.mentions)
+
+    @pytest.mark.parametrize("grid", [[0.4, 1.5], [-0.1], [float("nan")]])
+    def test_grid_value_outside_unit_interval_rejected(self, grid):
+        corpus, lookup = TestThreshold().lookup()
+        with pytest.raises(ValueError):
+            tune_threshold_from_scores(corpus, lookup, grid=grid)
 
 
 class TestGradcheckHarness:
