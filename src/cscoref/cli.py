@@ -2,11 +2,12 @@
 
 Subcommands: synth, gen-inferences, train, predict, score, explain,
 gradcheck. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error, 3 runtime failure (an unreadable checkpoint, a failed
-embedding or generation request, a non-finite training loss). Errors print
-one ``error:`` line to stderr; a ``train`` or ``predict`` run directory that
-was opened is marked ``"status": "failed"`` with the error's class and
-message in ``manifest.json``.
+configuration error, 3 runtime failure (an unreadable checkpoint, a corrupt
+inference cache or fixture line, a failed embedding or generation request,
+a non-finite training loss). Errors print one ``error:`` line to stderr; a
+``train`` or ``predict`` run directory that was opened is marked
+``"status": "failed"`` with the error's class and message in
+``manifest.json``.
 """
 
 from __future__ import annotations

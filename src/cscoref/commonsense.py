@@ -5,15 +5,18 @@ happens before and after the event, in the context of its sentence. Three
 interchangeable backends produce these inference sets: a fixture file, a
 deterministic rule tied to the synthetic corpus generator, and an external
 text-generation service. A persistent JSONL cache guarantees at most one
-backend invocation per (doc, mention, provider) key.
+backend invocation per (doc, mention, provider) key. The cache is an
+append-only log: each record is one line appended under an exclusive
+``flock``, so several processes can fill one cache file; ``read_records``
+is the one reader of that format, for caches and fixture files alike.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
-import tempfile
 import threading
 import time
 import warnings
@@ -66,6 +69,8 @@ class InferenceSet:
             raise ValueError("provenance must be set")
 
     def truncated(self, k: int) -> "InferenceSet":
+        if len(self.before) <= k and len(self.after) <= k:
+            return self
         return InferenceSet(self.mention_id, self.before[:k], self.after[:k],
                             self.provenance)
 
@@ -161,41 +166,97 @@ def parse_completion(text: str, k: int,
     return before, after
 
 
+_RECORD_FIELDS = frozenset(("doc_id", "mention_id", "before", "after",
+                           "provenance"))
+
+
+def _parse_line(raw: bytes):
+    """The JSON value of one line, or None when it does not decode."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
+def _line_start(fd: int, size: int) -> int:
+    """Offset just past the last newline before ``size`` (0 if none)."""
+    end = size
+    while end > 0:
+        start = max(0, end - (1 << 16))
+        cut = os.pread(fd, end - start, start).rfind(b"\n")
+        if cut != -1:
+            return start + cut + 1
+        end = start
+    return 0
+
+
+def read_records(path) -> dict[tuple, dict]:
+    """Read a cache or fixture file into {(doc_id, mention_id, provenance):
+    record}.
+
+    The file is read under a shared ``flock``, so a cooperating writer's
+    append is seen whole or not at all. An unterminated last line that does
+    not parse is a torn tail left by an interrupted writer: it is skipped
+    with a warning. Any other line that does not parse, or is not an object
+    with all five record fields, raises ``InferenceError`` naming the path
+    and line number. When a key appears twice (two processes generated the
+    same mention concurrently), the first record wins.
+    """
+    with open(path, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        data = fh.read()
+    # the last item is b"" unless the last line is unterminated
+    lines = data.split(b"\n")
+    entries: dict[tuple, dict] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        rec = _parse_line(raw)
+        if rec is None and lineno == len(lines):
+            warnings.warn(f"{path}:{lineno}: skipping a torn last line",
+                          stacklevel=2)
+            continue
+        if not isinstance(rec, dict) or not rec.keys() >= _RECORD_FIELDS:
+            problem = ("is not valid JSON" if rec is None else "is not a "
+                       f"record with fields {sorted(_RECORD_FIELDS)}")
+            raise InferenceError(f"{path}:{lineno}: line {problem}")
+        entries.setdefault(
+            (rec["doc_id"], rec["mention_id"], rec["provenance"]), rec)
+    return entries
+
+
+def _to_inference_set(rec: dict) -> InferenceSet:
+    return InferenceSet(mention_id=rec["mention_id"],
+                        before=tuple(rec["before"]),
+                        after=tuple(rec["after"]),
+                        provenance=rec["provenance"])
+
+
 class InferenceCache:
-    """Persistent JSONL cache of inference sets.
+    """Persistent JSONL cache of inference sets, kept as an append-only log.
 
     Records carry {doc_id, mention_id, before, after, provenance}; the key is
-    (doc_id, mention_id, provenance). Writes rewrite the file via a temp file
-    and atomic rename so readers never observe partial entries.
+    (doc_id, mention_id, provenance), and a key once written is immutable.
+    Each ``put`` appends its one line with a single ``O_APPEND`` write under
+    an exclusive ``flock``, so processes sharing a path keep each other's
+    records. A writer that finds a torn tail (an unterminated last line
+    that does not parse) truncates it before appending, so it never turns
+    into a corrupt middle line. Loading goes through ``read_records``: the
+    first record of a duplicated key wins.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: dict[tuple, dict] = {}
-        if path is not None and os.path.exists(path):
-            self._load()
-
-    def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                key = (rec["doc_id"], rec["mention_id"], rec["provenance"])
-                self._entries[key] = rec
+        self._entries: dict[tuple, dict] = (
+            read_records(path) if path is not None and os.path.exists(path)
+            else {})
 
     def get(self, doc_id: str, mention_id: str,
             fingerprint: str) -> Optional[InferenceSet]:
         with self._lock:
             rec = self._entries.get((doc_id, mention_id, fingerprint))
-        if rec is None:
-            return None
-        return InferenceSet(mention_id=rec["mention_id"],
-                            before=tuple(rec["before"]),
-                            after=tuple(rec["after"]),
-                            provenance=rec["provenance"])
+        return None if rec is None else _to_inference_set(rec)
 
     def put(self, doc_id: str, inferences: InferenceSet):
         rec = {"doc_id": doc_id, "mention_id": inferences.mention_id,
@@ -211,23 +272,27 @@ class InferenceCache:
                 raise ValueError(
                     f"cache entry for {key} is immutable; refusing to "
                     f"overwrite it with a different inference set")
-            self._entries[key] = rec
             if self.path is not None:
-                self._flush()
+                self._append(rec)
+            self._entries[key] = rec
 
-    def _flush(self):
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    def _append(self, rec: dict):
+        line = json.dumps(rec, ensure_ascii=False,
+                          separators=(",", ":")).encode("utf-8") + b"\n"
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for rec in self._entries.values():
-                    fh.write(json.dumps(rec, ensure_ascii=False,
-                                        separators=(",", ":")) + "\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                start = _line_start(fd, size)
+                if _parse_line(os.pread(fd, size - start, start)) is None:
+                    os.ftruncate(fd, start)  # drop the torn tail
+                else:
+                    line = b"\n" + line  # terminate a complete last line
+            if os.write(fd, line) != len(line):
+                raise InferenceError(f"{self.path}: short write")
+        finally:
+            os.close(fd)  # releases the flock
 
     def __len__(self):
         return len(self._entries)
@@ -243,11 +308,8 @@ class FixtureProvider:
             for inf in records:
                 self._by_mention[inf.mention_id] = inf
         if path is not None:
-            cache = InferenceCache(path)
-            for (_, mention_id, _), rec in cache._entries.items():
-                self._by_mention[mention_id] = InferenceSet(
-                    mention_id=mention_id, before=tuple(rec["before"]),
-                    after=tuple(rec["after"]), provenance=rec["provenance"])
+            for rec in read_records(path).values():
+                self._by_mention[rec["mention_id"]] = _to_inference_set(rec)
 
     def fingerprint(self, config: GenerationConfig) -> str:
         return "fixture"
@@ -338,16 +400,20 @@ class GenerationServiceProvider:
 def get_inferences(provider, mention, context_sentence: str,
                    config: GenerationConfig,
                    cache: Optional[InferenceCache] = None) -> InferenceSet:
-    """Cache-through fetch of one mention's inference set."""
+    """Cache-through fetch of one mention's inference set.
+
+    The result holds at most ``config.k`` sentences per side, also when the
+    cache holds a set generated at a larger k.
+    """
     fingerprint = provider.fingerprint(config)
     if cache is not None:
         hit = cache.get(mention.doc_id, mention.mention_id, fingerprint)
         if hit is not None:
-            return hit
+            return hit.truncated(config.k)
     result = provider.generate(mention, context_sentence, config)
     if cache is not None:
         cache.put(mention.doc_id, result)
-    return result
+    return result.truncated(config.k)
 
 
 def get_inferences_bulk(provider, corpus, config: GenerationConfig,
@@ -364,7 +430,7 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
         hit = cache.get(m.doc_id, m.mention_id,
                         fingerprint) if cache else None
         if hit is not None:
-            results[m.mention_id] = hit
+            results[m.mention_id] = hit.truncated(config.k)
         else:
             pending.append(m)
 

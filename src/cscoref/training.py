@@ -87,8 +87,7 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
                                  cache=cache)
             for rel, idx_arr in (("before", before_idx),
                                  ("after", after_idx)):
-                for slot, sentence in enumerate(
-                        getattr(inf, rel)[:k]):
+                for slot, sentence in enumerate(getattr(inf, rel)):
                     tokens = sentence.split()
                     if not tokens:
                         continue

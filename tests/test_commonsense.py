@@ -1,6 +1,7 @@
 import itertools
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from cscoref.commonsense import (GENERATION_CREDENTIAL_ENV, FixtureProvider,
                                  InferenceCache, InferenceError,
                                  InferenceSet, PromptExemplar, format_prompt,
                                  get_inferences, get_inferences_bulk,
-                                 parse_completion, split_sentences)
+                                 parse_completion, read_records,
+                                 split_sentences)
 from cscoref.corpus import Mention
 
 DATA = Path(__file__).parent / "data"
@@ -179,7 +181,13 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         cache = InferenceCache(path)
         cache.put("d1", InferenceSet("m1", ("B.",), ("A.",), "fixture"))
+        first, inode = path.read_bytes(), path.stat().st_ino
         cache.put("d1", InferenceSet("m2", ("B.",), ("A.",), "fixture"))
+        second = path.read_bytes()
+        # a put appends one line to the same file, leaving earlier bytes
+        assert path.stat().st_ino == inode
+        assert second.startswith(first)
+        assert second[len(first):].count(b"\n") == 1
         lines = path.read_text("utf-8").strip().split("\n")
         assert len(lines) == 2
         for line in lines:
@@ -208,6 +216,118 @@ class TestCache:
         with pytest.raises(ValueError, match="immutable"):
             cache.put("d1", InferenceSet("m1", ("other.",), ("A.",),
                                          "fixture"))
+
+    def test_hit_truncated_to_k(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        five = tuple(f"S {i}." for i in range(5))
+        provider = CountingProvider({"before": five, "after": five})
+        get_inferences(provider, _mention(), "ctx", GenerationConfig(k=5),
+                       InferenceCache(path))
+        small = GenerationConfig(k=2)
+        for cache in (InferenceCache(path), InferenceCache(path)):
+            hit = get_inferences(provider, _mention(), "ctx", small, cache)
+            assert hit.before == five[:2] and hit.after == five[:2]
+        assert provider.calls == 1
+        assert InferenceCache(path).get("d1", "m1", "fixture").before == five
+
+
+def _record_line(mention_id, doc_id="d1"):
+    return json.dumps({"doc_id": doc_id, "mention_id": mention_id,
+                       "before": [f"B {mention_id}."],
+                       "after": [f"A {mention_id}."],
+                       "provenance": "fixture"}) + "\n"
+
+
+def _put_many(path, prefix, n, barrier):
+    cache = InferenceCache(path)
+    barrier.wait()
+    for i in range(n):
+        cache.put("d1", InferenceSet(f"{prefix}{i}", (f"B {i}.",),
+                                     (f"A {i}.",), "fixture"))
+
+
+class TestAppendOnlyLog:
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "cache.jsonl")
+        n = 100
+        prefixes = ("a", "b", "c", "d")
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(len(prefixes))
+        workers = [ctx.Process(target=_put_many,
+                               args=(path, prefix, n, barrier))
+                   for prefix in prefixes]
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(120)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            for w in workers:
+                if w.is_alive():
+                    w.terminate()
+        assert [w.exitcode for w in workers] == [0] * len(prefixes)
+        cache = InferenceCache(path)
+        assert len(cache) == len(prefixes) * n
+        for prefix in prefixes:
+            for i in range(n):
+                got = cache.get("d1", f"{prefix}{i}", "fixture")
+                assert got.before == (f"B {i}.",)
+
+    def test_torn_tail_skipped_then_truncated_by_next_put(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        torn = _record_line("m3")[:25]
+        path.write_text(_record_line("m1") + _record_line("m2") + torn,
+                        encoding="utf-8")
+        with pytest.warns(UserWarning, match="torn"):
+            cache = InferenceCache(path)
+        assert len(cache) == 2
+        cache.put("d1", InferenceSet("m4", ("B.",), ("A.",), "fixture"))
+        lines = path.read_text("utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 4
+        assert [json.loads(line)["mention_id"] for line in lines[:-1]] == [
+            "m1", "m2", "m4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = InferenceCache(path)
+        assert len(reloaded) == 3
+        assert all(reloaded.get("d1", m, "fixture") is not None
+                   for m in ("m1", "m2", "m4"))
+
+    def test_unterminated_complete_record_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_record_line("m1") + _record_line("m2").rstrip(),
+                        encoding="utf-8")
+        cache = InferenceCache(path)
+        assert len(cache) == 2
+        cache.put("d1", InferenceSet("m3", ("B.",), ("A.",), "fixture"))
+        assert len(InferenceCache(path)) == 3
+
+    def test_first_record_of_a_duplicated_key_wins(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        later = _record_line("m1").replace("B m1.", "later.")
+        path.write_text(_record_line("m1") + later, encoding="utf-8")
+        assert read_records(path)[("d1", "m1", "fixture")]["before"] == [
+            "B m1."]
+        assert InferenceCache(path).get("d1", "m1", "fixture").before == (
+            "B m1.",)
+
+    @pytest.mark.parametrize("bad", [
+        "{not json\n",
+        json.dumps({"doc_id": "d1", "mention_id": "mx", "before": [],
+                    "after": []}) + "\n",
+        "[1, 2]\n"])
+    def test_corrupt_middle_line_raises_with_line_number(self, tmp_path,
+                                                         bad):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_record_line("m1") + bad + _record_line("m2"),
+                        encoding="utf-8")
+        with pytest.raises(InferenceError, match=r"cache\.jsonl:2: "):
+            InferenceCache(path)
+        with pytest.raises(InferenceError, match=r"cache\.jsonl:2: "):
+            FixtureProvider(path=path)
 
 
 class TestFixtureProvider:

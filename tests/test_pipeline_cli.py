@@ -568,11 +568,9 @@ class TestRuntimeFailures:
         assert "threshold" in manifest["error"]["message"]
 
 
-class TestCliWiring:
-    def test_gen_inferences(self, tmp_path, capsys):
-        config, corpus = small_run_config(tmp_path)
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"""
+def gen_ini(tmp_path, config):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"""
 [run]
 out = {tmp_path / 'gen'}
 
@@ -589,10 +587,33 @@ provider = fixture
 fixtures = {config.commonsense.fixtures['train']}
 cache = {tmp_path / 'cache.jsonl'}
 """, encoding="utf-8")
-        assert cli.main(["gen-inferences", "--config", str(ini),
+    return ini
+
+
+class TestCliWiring:
+    def test_gen_inferences(self, tmp_path, capsys):
+        config, corpus = small_run_config(tmp_path)
+        assert cli.main(["gen-inferences", "--config",
+                         str(gen_ini(tmp_path, config)),
                          "--split", "train"]) == 0
         assert (tmp_path / "cache.jsonl").exists()
         assert "cached 8" in capsys.readouterr().out
+
+    def test_corrupt_cache_line_exits_three(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        assert cli.main(["gen-inferences", "--config", str(ini)]) == 0
+        cache = tmp_path / "cache.jsonl"
+        lines = cache.read_text("utf-8").split("\n")
+        lines[2] = lines[2][:20]
+        cache.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_RUNTIME == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: InferenceError: ")
+        assert f"{cache}:3: " in err
+        assert err.count("\n") == 1
 
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
