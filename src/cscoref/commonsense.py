@@ -178,50 +178,76 @@ def _parse_line(raw: bytes):
         return None
 
 
-def _line_start(fd: int, size: int) -> int:
-    """Offset just past the last newline before ``size`` (0 if none)."""
-    end = size
-    while end > 0:
-        start = max(0, end - (1 << 16))
-        cut = os.pread(fd, end - start, start).rfind(b"\n")
-        if cut != -1:
-            return start + cut + 1
-        end = start
-    return 0
+def _is_record(rec) -> bool:
+    if not (isinstance(rec, dict) and rec.keys() >= _RECORD_FIELDS):
+        return False
+    before, after = rec["before"], rec["after"]
+    return (isinstance(rec["doc_id"], str)
+            and isinstance(rec["mention_id"], str)
+            and isinstance(rec["provenance"], str)
+            and isinstance(before, list) and isinstance(after, list)
+            and all(isinstance(s, str) for s in before + after))
+
+
+def _key(rec: dict) -> tuple:
+    return rec["doc_id"], rec["mention_id"], rec["provenance"]
+
+
+def _scan_records(data: bytes, path, entries: dict, lineno: int = 0) -> int:
+    """Add the records in ``data`` to ``entries`` and return the length of
+    its complete lines.
+
+    A key already in ``entries`` keeps its record. An unterminated last line
+    that does not parse is a torn tail left by an interrupted writer: it is
+    not read and not counted in the returned length. Any other line that
+    does not parse, or is not a record, raises ``InferenceError`` naming
+    the path and line number; ``lineno`` is the number of lines in the file
+    before ``data``.
+    """
+    tail = data[data.rfind(b"\n") + 1:]
+    if tail.strip() and _parse_line(tail) is None:
+        data = data[:len(data) - len(tail)]
+    for i, raw in enumerate(data.split(b"\n"), start=lineno + 1):
+        if not raw.strip():
+            continue
+        rec = _parse_line(raw)
+        if not _is_record(rec):
+            problem = ("is not valid JSON" if rec is None else
+                       "is not a record: doc_id, mention_id and provenance "
+                       "must be strings, before and after lists of strings")
+            raise InferenceError(f"{path}:{i}: line {problem}")
+        entries.setdefault(_key(rec), rec)
+    return len(data)
+
+
+def _load(path, entries: dict) -> tuple[int, int]:
+    """Read ``path`` into ``entries``; return the length of its complete
+    lines in bytes and in lines. The file is read under a shared ``flock``,
+    so a cooperating writer's append is seen whole or not at all."""
+    with open(path, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        data = fh.read()
+    end = _scan_records(data, path, entries)
+    lines = data.count(b"\n", 0, end)
+    if end < len(data):
+        warnings.warn(f"{path}:{lines + 1}: skipping a torn last line",
+                      stacklevel=3)
+    return end, lines
 
 
 def read_records(path) -> dict[tuple, dict]:
     """Read a cache or fixture file into {(doc_id, mention_id, provenance):
     record}.
 
-    The file is read under a shared ``flock``, so a cooperating writer's
-    append is seen whole or not at all. An unterminated last line that does
-    not parse is a torn tail left by an interrupted writer: it is skipped
+    A torn tail (an unterminated last line that does not parse) is skipped
     with a warning. Any other line that does not parse, or is not an object
-    with all five record fields, raises ``InferenceError`` naming the path
+    whose doc_id, mention_id and provenance are strings and whose before and
+    after are lists of strings, raises ``InferenceError`` naming the path
     and line number. When a key appears twice (two processes generated the
     same mention concurrently), the first record wins.
     """
-    with open(path, "rb") as fh:
-        fcntl.flock(fh, fcntl.LOCK_SH)
-        data = fh.read()
-    # the last item is b"" unless the last line is unterminated
-    lines = data.split(b"\n")
     entries: dict[tuple, dict] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        rec = _parse_line(raw)
-        if rec is None and lineno == len(lines):
-            warnings.warn(f"{path}:{lineno}: skipping a torn last line",
-                          stacklevel=2)
-            continue
-        if not isinstance(rec, dict) or not rec.keys() >= _RECORD_FIELDS:
-            problem = ("is not valid JSON" if rec is None else "is not a "
-                       f"record with fields {sorted(_RECORD_FIELDS)}")
-            raise InferenceError(f"{path}:{lineno}: line {problem}")
-        entries.setdefault(
-            (rec["doc_id"], rec["mention_id"], rec["provenance"]), rec)
+    _load(path, entries)
     return entries
 
 
@@ -241,16 +267,23 @@ class InferenceCache:
     an exclusive ``flock``, so processes sharing a path keep each other's
     records. A writer that finds a torn tail (an unterminated last line
     that does not parse) truncates it before appending, so it never turns
-    into a corrupt middle line. Loading goes through ``read_records``: the
-    first record of a duplicated key wins.
+    into a corrupt middle line. Loading reads the format as
+    ``read_records`` does: the first record of a duplicated key wins.
+
+    Under the same ``flock``, ``put`` first reads what other processes
+    appended since this cache last read the file. If one of them wrote the
+    key, ``put`` appends nothing and returns that process's set, so every
+    process uses the set that later loads serve.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: dict[tuple, dict] = (
-            read_records(path) if path is not None and os.path.exists(path)
-            else {})
+        self._entries: dict[tuple, dict] = {}
+        # how far this cache has read the file: bytes, and lines in them
+        self._end = self._lines = 0
+        if path is not None and os.path.exists(path):
+            self._end, self._lines = _load(path, self._entries)
 
     def get(self, doc_id: str, mention_id: str,
             fingerprint: str) -> Optional[InferenceSet]:
@@ -258,41 +291,56 @@ class InferenceCache:
             rec = self._entries.get((doc_id, mention_id, fingerprint))
         return None if rec is None else _to_inference_set(rec)
 
-    def put(self, doc_id: str, inferences: InferenceSet):
+    def put(self, doc_id: str, inferences: InferenceSet) -> InferenceSet:
+        """Store ``inferences`` and return the set the cache keeps for its
+        key: ``inferences``, or the set another process sharing the file
+        wrote first."""
         rec = {"doc_id": doc_id, "mention_id": inferences.mention_id,
                "before": list(inferences.before),
                "after": list(inferences.after),
                "provenance": inferences.provenance}
+        key = _key(rec)
         with self._lock:
-            key = (doc_id, inferences.mention_id, inferences.provenance)
             existing = self._entries.get(key)
-            if existing == rec:
-                return  # idempotent re-put
-            if existing is not None:
+            if existing is None:
+                stored = rec if self.path is None else self._append(rec)
+                self._entries[key] = stored
+                return inferences if stored is rec else \
+                    _to_inference_set(stored)
+            if existing != rec:
                 raise ValueError(
                     f"cache entry for {key} is immutable; refusing to "
                     f"overwrite it with a different inference set")
-            if self.path is not None:
-                self._append(rec)
-            self._entries[key] = rec
+        return inferences  # idempotent re-put
 
-    def _append(self, rec: dict):
+    def _append(self, rec: dict) -> dict:
+        """Append ``rec`` and return it, unless another process appended
+        its key since this cache last read the file: then adopt and return
+        that record instead."""
         line = json.dumps(rec, ensure_ascii=False,
                           separators=(",", ":")).encode("utf-8") + b"\n"
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                start = _line_start(fd, size)
-                if _parse_line(os.pread(fd, size - start, start)) is None:
-                    os.ftruncate(fd, start)  # drop the torn tail
-                else:
-                    line = b"\n" + line  # terminate a complete last line
+            new = os.pread(fd, max(size - self._end, 0), self._end)
+            done = _scan_records(new, self.path, self._entries, self._lines)
+            self._lines += new.count(b"\n", 0, done)
+            self._end += done
+            found = self._entries.get(_key(rec))
+            if found is not None:
+                return found
+            if self._end < size:
+                os.ftruncate(fd, self._end)  # drop the torn tail
+            elif size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line  # terminate a complete last line
             if os.write(fd, line) != len(line):
                 raise InferenceError(f"{self.path}: short write")
+            self._end += len(line)
+            self._lines += line.count(b"\n")
         finally:
             os.close(fd)  # releases the flock
+        return rec
 
     def __len__(self):
         return len(self._entries)
@@ -403,7 +451,9 @@ def get_inferences(provider, mention, context_sentence: str,
     """Cache-through fetch of one mention's inference set.
 
     The result holds at most ``config.k`` sentences per side, also when the
-    cache holds a set generated at a larger k.
+    cache holds a set generated at a larger k. On a miss it is the set the
+    cache keeps, which is another process's when that process stored the
+    key first.
     """
     fingerprint = provider.fingerprint(config)
     if cache is not None:
@@ -412,7 +462,7 @@ def get_inferences(provider, mention, context_sentence: str,
             return hit.truncated(config.k)
     result = provider.generate(mention, context_sentence, config)
     if cache is not None:
-        cache.put(mention.doc_id, result)
+        result = cache.put(mention.doc_id, result)
     return result.truncated(config.k)
 
 

@@ -238,6 +238,12 @@ def _record_line(mention_id, doc_id="d1"):
                        "provenance": "fixture"}) + "\n"
 
 
+def _put_one(path, mention_id, before):
+    get_inferences(CountingProvider({"before": (before,), "after": ()}),
+                   _mention(mention_id), "ctx", GenerationConfig(),
+                   InferenceCache(path))
+
+
 def _put_many(path, prefix, n, barrier):
     cache = InferenceCache(path)
     barrier.wait()
@@ -275,6 +281,40 @@ class TestAppendOnlyLog:
             for i in range(n):
                 got = cache.get("d1", f"{prefix}{i}", "fixture")
                 assert got.before == (f"B {i}.",)
+
+    def test_second_writer_adopts_first_writers_set(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "cache.jsonl")
+        Path(path).write_text(_record_line("m0"), encoding="utf-8")
+        second = InferenceCache(path)
+        first = multiprocessing.get_context("spawn").Process(
+            target=_put_one, args=(path, "m1", "First."))
+        first.start()
+        first.join(120)
+        assert first.exitcode == 0
+        provider = CountingProvider({"before": ("Second.",), "after": ()})
+        got = get_inferences(provider, _mention("m1"), "ctx",
+                             GenerationConfig(), second)
+        assert provider.calls == 1 and got.before == ("First.",)
+        assert second.get("d1", "m1", "fixture").before == ("First.",)
+        assert get_inferences(provider, _mention("m1"), "ctx",
+                              GenerationConfig(), second) == got
+        assert len(Path(path).read_text("utf-8").splitlines()) == 2
+        # the next put appends after the other process's record
+        second.put("d1", InferenceSet("m2", ("B.",), ("A.",), "fixture"))
+        assert [r[1] for r in read_records(path)] == ["m0", "m1", "m2"]
+
+    def test_corrupt_line_from_another_writer_named_at_its_line(self,
+                                                                tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_record_line("m1") + _record_line("m2"),
+                        encoding="utf-8")
+        cache = InferenceCache(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_record_line("m3") + "{not json\n")
+        with pytest.raises(InferenceError, match=r"cache\.jsonl:4: "):
+            cache.put("d1", InferenceSet("m5", ("B.",), ("A.",), "fixture"))
 
     def test_torn_tail_skipped_then_truncated_by_next_put(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -318,7 +358,10 @@ class TestAppendOnlyLog:
         "{not json\n",
         json.dumps({"doc_id": "d1", "mention_id": "mx", "before": [],
                     "after": []}) + "\n",
-        "[1, 2]\n"])
+        "[1, 2]\n",
+        _record_line("mx").replace('["B mx."]', '"x"'),
+        _record_line("mx").replace('"mx"', "[]"),
+        _record_line("mx").replace('["A mx."]', "[1]")])
     def test_corrupt_middle_line_raises_with_line_number(self, tmp_path,
                                                          bad):
         path = tmp_path / "cache.jsonl"
