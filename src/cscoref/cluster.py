@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class ScoreMatrix:
         return self._row[a], self._row[b]
 
     def set(self, a: str, b: str, score: float):
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score {score} outside [0, 1]")
+        check_unit_interval("score", score)
         i, j = self._rows(a, b)
         self._scores[i, j] = self._scores[j, i] = float(score)
 
@@ -45,17 +43,10 @@ class ScoreMatrix:
         return float(score)
 
 
-@dataclass
-class ClusteringConfig:
-    threshold: float = 0.5
-    linkage: str = "average"
-    scope: str = "subtopic"
-
-    def __post_init__(self):
-        if self.linkage != "average":
-            raise ValueError("only average linkage is supported")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+def check_unit_interval(name: str, value: float):
+    """Raise ValueError unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
 
 
 def merge_sequence(ids, scores: ScoreMatrix) -> list[tuple[float, str, str]]:
@@ -112,7 +103,7 @@ def cut_merge_sequence(ids, steps, threshold: float) -> Clustering:
 
 
 def agglomerative_cluster(mentions, scores: ScoreMatrix,
-                          config: ClusteringConfig) -> Clustering:
+                          threshold: float) -> Clustering:
     """Merge the most similar cluster pair until similarity drops below the
     threshold.
 
@@ -123,14 +114,14 @@ def agglomerative_cluster(mentions, scores: ScoreMatrix,
 
     The threshold only decides where that sequence stops, so the clustering
     is ``merge_sequence`` run to one cluster, then cut before the first merge
-    whose average is below ``config.threshold``
-    (``cut_merge_sequence``). A caller that needs several thresholds records
-    the sequence once and cuts it at each. Raises KeyError when the matrix
-    has no score for some pair of ``mentions``.
+    whose average is below ``threshold`` (``cut_merge_sequence``). A caller
+    that needs several thresholds records the sequence once and cuts it at
+    each. Raises ValueError for a threshold outside [0, 1] and KeyError when
+    the matrix has no score for some pair of ``mentions``.
     """
+    check_unit_interval("threshold", threshold)
     ids = sorted(mentions)
-    return cut_merge_sequence(ids, merge_sequence(ids, scores),
-                              config.threshold)
+    return cut_merge_sequence(ids, merge_sequence(ids, scores), threshold)
 
 
 def write_clustering(clustering: Clustering, path, metadata: dict):

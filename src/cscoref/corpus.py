@@ -24,6 +24,9 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file violates the record format or an invariant."""
 
 
+# unit scopes from narrowest to broadest: a subtopic lies in one topic
+SCOPES = ("subtopic", "topic", "corpus")
+
 DOC_FIELDS = ("doc_id", "topic_id", "subtopic_id", "sentences")
 MENTION_FIELDS = ("mention_id", "doc_id", "sentence_index", "token_start",
                   "token_end", "text", "gold_cluster_id")
@@ -135,9 +138,16 @@ class Corpus:
     def __init__(self, documents: Iterable[Document],
                  mentions: Iterable[Mention]):
         self.documents: dict[str, Document] = {}
+        topic_of_subtopic: dict[str, str] = {}
         for doc in documents:
             if doc.doc_id in self.documents:
                 raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
+            topic = topic_of_subtopic.setdefault(doc.subtopic_id,
+                                                 doc.topic_id)
+            if topic != doc.topic_id:
+                raise CorpusFormatError(
+                    f"subtopic {doc.subtopic_id!r} lies under topics "
+                    f"{topic!r} and {doc.topic_id!r}")
             self.documents[doc.doc_id] = doc
         self.mentions: dict[str, Mention] = {}
         for m in mentions:
@@ -172,12 +182,6 @@ class Corpus:
     def sentence_of(self, mention: Mention) -> tuple:
         return self.documents[mention.doc_id].sentences[mention.sentence_index]
 
-    def topic_of(self, mention: Mention) -> str:
-        return self.documents[mention.doc_id].topic_id
-
-    def subtopic_of(self, mention: Mention) -> str:
-        return self.documents[mention.doc_id].subtopic_id
-
     def gold_clustering(self) -> Clustering:
         missing = [m.mention_id for m in self.mentions.values()
                    if m.gold_cluster_id is None]
@@ -189,6 +193,24 @@ class Corpus:
 
     def mentions_in_order(self) -> list[Mention]:
         return sorted(self.mentions.values(), key=Mention.span_key)
+
+    def units(self, scope: str) -> dict[str, list[Mention]]:
+        """The mentions of each unit of ``scope``, in span order, keyed by
+        subtopic id, topic id, or ``"corpus"`` for the whole corpus; keys
+        in sorted order, units without mentions absent.
+
+        Pairs are scored, mentions clustered, and clusterings evaluated
+        within these units. Raises ValueError for a scope outside
+        ``SCOPES``.
+        """
+        if scope not in SCOPES:
+            raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+        units: dict[str, list[Mention]] = {}
+        for m in self.mentions_in_order():
+            unit = ("corpus" if scope == "corpus"
+                    else getattr(self.documents[m.doc_id], f"{scope}_id"))
+            units.setdefault(unit, []).append(m)
+        return {unit: units[unit] for unit in sorted(units)}
 
 
 def _check_fields(record: dict, allowed: tuple, required: tuple, kind: str,
@@ -278,9 +300,6 @@ def write_corpus(corpus: Corpus, path):
             fh.write(line + "\n")
 
 
-PAIR_SCOPES = ("subtopic", "topic", "corpus")
-
-
 def candidate_pairs(corpus: Corpus, scope: str = "subtopic",
                     labeled: bool = True) -> list[MentionPair]:
     """All unordered mention pairs within each scope unit, in canonical order.
@@ -289,20 +308,9 @@ def candidate_pairs(corpus: Corpus, scope: str = "subtopic",
     ``labeled=False`` the pairs carry ``label=None`` and gold ids may be
     absent.
     """
-    if scope not in PAIR_SCOPES:
-        raise ValueError(f"scope must be one of {PAIR_SCOPES}, got {scope!r}")
-    groups: dict[str, list[Mention]] = {}
-    for m in corpus.mentions_in_order():
-        if scope == "subtopic":
-            unit = corpus.subtopic_of(m)
-        elif scope == "topic":
-            unit = corpus.topic_of(m)
-        else:
-            unit = ""
-        groups.setdefault(unit, []).append(m)
     pairs: list[MentionPair] = []
-    for unit in sorted(groups):
-        for a, b in itertools.combinations(groups[unit], 2):
+    for members in corpus.units(scope).values():
+        for a, b in itertools.combinations(members, 2):
             if labeled:
                 if a.gold_cluster_id is None or b.gold_cluster_id is None:
                     bad = a if a.gold_cluster_id is None else b

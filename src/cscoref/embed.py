@@ -10,7 +10,6 @@ attention-pooled vector over the span, and a learned width-bucket feature.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,12 +40,6 @@ class EmbedderConfig:
             raise ValueError("service provider requires an endpoint")
         if self.d < 1 or self.d_len < 1 or self.max_width_bucket < 1:
             raise ValueError("d, d_len and max_width_bucket must be >= 1")
-
-    @property
-    def fingerprint(self) -> str:
-        if self.provider == "hash":
-            return f"hash:d={self.d}:seed={self.seed}"
-        return f"service:{self.endpoint}:d={self.d}"
 
 
 def hash_embed(token: str, d: int, seed: int) -> np.ndarray:
@@ -96,8 +89,7 @@ class ServiceEmbedder:
     """Client for the contextual embedding service.
 
     Protocol: POST a JSON body ``{"sentences": [[token, ...], ...]}``; the
-    response is ``{"vectors": [[[...], ...], ...], "d": int}``. Responses are
-    cached by (doc_id, provider fingerprint).
+    response is ``{"vectors": [[[...], ...], ...], "d": int}``.
     """
 
     def __init__(self, config: EmbedderConfig, session=None):
@@ -105,8 +97,6 @@ class ServiceEmbedder:
             raise ValueError("ServiceEmbedder requires provider='service'")
         self.config = config
         self._session = session or requests.Session()
-        self._cache: dict[tuple[str, str], list[np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def _request(self, sentences) -> list[np.ndarray]:
         payload = {"sentences": [list(s) for s in sentences]}
@@ -143,14 +133,7 @@ class ServiceEmbedder:
         return self._request([tokens])[0]
 
     def embed_document(self, document: Document) -> list[np.ndarray]:
-        key = (document.doc_id, self.config.fingerprint)
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        matrices = self._request(document.sentences)
-        with self._lock:
-            self._cache.setdefault(key, matrices)
-        return self._cache[key]
+        return self._request(document.sentences)
 
 
 def make_embedder(config: EmbedderConfig):

@@ -152,6 +152,11 @@ class EvalOptions:
     drop_singletons: bool = True
     unit: str = "topic"  # "topic" or "subtopic" granularity
 
+    def __post_init__(self):
+        if self.unit not in ("topic", "subtopic"):
+            raise ValueError(f"eval unit must be 'topic' or 'subtopic', "
+                             f"got {self.unit!r}")
+
 
 @dataclass
 class EvalReport:
@@ -206,10 +211,12 @@ def evaluate(corpus: Corpus, system: Clustering,
              mention_subset=None) -> EvalReport:
     """Score a system clustering against the corpus gold partition.
 
-    Per unit (topic by default): remove singleton clusters from both key and
-    response, harmonize the surviving mention universes, compute the three
-    metrics, then average precision/recall/F1 arithmetically across units.
-    Units whose key is empty after singleton removal are skipped and listed.
+    Per unit (``options.unit``; with ``topic_level`` off, one ``"corpus"``
+    unit): remove singleton clusters from both key and response, harmonize
+    the surviving mention universes, compute the three metrics, then average
+    precision/recall/F1 arithmetically across units. Units with no evaluated
+    mention are left out; units whose key is empty after singleton removal
+    are skipped and listed.
     ``mention_subset`` restricts the evaluation universe before anything
     else (e.g. to one generator difficulty class).
     """
@@ -225,20 +232,13 @@ def evaluate(corpus: Corpus, system: Clustering,
         gold = gold.restrict(mention_subset)
         system = system.restrict(mention_subset)
 
-    if options.topic_level:
-        units: dict[str, list[str]] = {}
-        for m in corpus.mentions.values():
-            if m.mention_id not in gold.mentions:
-                continue
-            unit = (corpus.subtopic_of(m) if options.unit == "subtopic"
-                    else corpus.topic_of(m))
-            units.setdefault(unit, []).append(m.mention_id)
-    else:
-        units = {"corpus": list(gold.mentions)}
-
+    evaluated = gold.mentions
+    scope = options.unit if options.topic_level else "corpus"
     report = EvalReport(options=options)
-    for unit in sorted(units):
-        ids = units[unit]
+    for unit, members in corpus.units(scope).items():
+        ids = [m.mention_id for m in members if m.mention_id in evaluated]
+        if not ids:
+            continue
         scores = score_pair_of_clusterings(
             gold.restrict(ids), system.restrict(ids),
             drop_singletons=options.drop_singletons)

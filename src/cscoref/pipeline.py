@@ -24,7 +24,7 @@ from .cluster import write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
                           PromptExemplar, get_inferences_bulk)
-from .corpus import Corpus, load_corpus, write_corpus
+from .corpus import SCOPES, Corpus, load_corpus, write_corpus
 from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, evaluate
 from .scorer import (ModelParameters, forward_batch, load_checkpoint,
@@ -79,13 +79,7 @@ class RunConfig:
 
 
 def _config_digest_dict(config: RunConfig) -> dict:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-    out = {
+    return {
         "corpus_paths": dict(config.corpus_paths),
         "embedder": asdict(config.embedder),
         "commonsense": {
@@ -104,7 +98,6 @@ def _config_digest_dict(config: RunConfig) -> dict:
         "eval": asdict(config.eval_options),
         "seeds": list(config.seeds),
     }
-    return clean(out)
 
 
 def preset(name: str) -> RunConfig:
@@ -386,6 +379,20 @@ def _require_paths(config: RunConfig, splits):
         raise ConfigError("seed list must be non-empty")
 
 
+def _check_scopes(config: RunConfig):
+    """Reject a scope outside SCOPES, and a clustering unit broader than
+    the pair unit: the clusterer would need pairs that were never scored."""
+    for key, scope in (("[train] pair_scope", config.train.pair_scope),
+                       ("[cluster] scope", config.cluster_scope)):
+        if scope not in SCOPES:
+            raise ConfigError(f"{key} = {scope!r} is not one of {SCOPES}")
+    if SCOPES.index(config.cluster_scope) > SCOPES.index(
+            config.train.pair_scope):
+        raise ConfigError(
+            f"[cluster] scope = {config.cluster_scope!r} is broader than "
+            f"[train] pair_scope = {config.train.pair_scope!r}")
+
+
 def _dataset_for(config: RunConfig, corpus: Corpus, split: str, mode: str,
                  default_strict: bool = True, scope: Optional[str] = None,
                  labeled: bool = True):
@@ -419,6 +426,7 @@ def _load_checked_checkpoint(config: RunConfig,
 def cmd_train(config: RunConfig) -> int:
     _require_paths(config, ["train"] + (["dev"] if "dev"
                                         in config.corpus_paths else []))
+    _check_scopes(config)
     with run_dir(config, "train") as out:
         mode = config.train.mode
         train_corpus = load_corpus(config.corpus_paths["train"])
@@ -472,6 +480,7 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
                 tau: Optional[float] = None) -> int:
     _require_paths(config, [split])
+    _check_scopes(config)
     with run_dir(config, "predict") as out:
         corpus = load_corpus(config.corpus_paths[split])
         params = _load_checked_checkpoint(config, checkpoint_path)
@@ -509,6 +518,7 @@ def _write_report(report: EvalReport, out: str, split: str):
 def cmd_score(config: RunConfig, clustering_path, split: str = "test") -> int:
     from .cluster import read_clustering
 
+    _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
     system, _ = read_clustering(clustering_path)
     report = evaluate(corpus, system, config.eval_options)
@@ -591,6 +601,7 @@ def explain_pair(params: ModelParameters, corpus: Corpus, config: RunConfig,
 def cmd_explain(config: RunConfig, checkpoint_path, first_id: str,
                 second_id: str, split: str = "test",
                 out_path=None) -> int:
+    _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
     params = _load_checked_checkpoint(config, checkpoint_path)
     trace = explain_pair(params, corpus, config, first_id, second_id,

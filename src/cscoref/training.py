@@ -8,8 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cluster import (ClusteringConfig, ScoreMatrix, agglomerative_cluster,
-                      cut_merge_sequence, merge_sequence)
+from .cluster import (ScoreMatrix, agglomerative_cluster,
+                      check_unit_interval, cut_merge_sequence,
+                      merge_sequence)
 from .commonsense import GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
@@ -244,16 +245,8 @@ def scores_as_lookup(data: PairDataset, probs: np.ndarray) -> dict:
 
 def _scope_units(corpus: Corpus, scope: str) -> list[list[str]]:
     """Sorted mention ids of each clustering unit, units in sorted order."""
-    units: dict[str, list[str]] = {}
-    for m in corpus.mentions.values():
-        if scope == "subtopic":
-            unit = corpus.subtopic_of(m)
-        elif scope == "topic":
-            unit = corpus.topic_of(m)
-        else:
-            unit = ""
-        units.setdefault(unit, []).append(m.mention_id)
-    return [sorted(units[unit]) for unit in sorted(units)]
+    return [sorted(m.mention_id for m in members)
+            for members in corpus.units(scope).values()]
 
 
 def _unit_matrix(ids: list[str], score_lookup: dict) -> ScoreMatrix:
@@ -267,11 +260,10 @@ def _unit_matrix(ids: list[str], score_lookup: dict) -> ScoreMatrix:
 def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
                         scope: str = "subtopic") -> Clustering:
     """Cluster every scope unit at threshold tau from a pair-score lookup."""
-    config = ClusteringConfig(threshold=tau, scope=scope)
     assignment = {}
     for ids in _scope_units(corpus, scope):
         part = agglomerative_cluster(ids, _unit_matrix(ids, score_lookup),
-                                     config)
+                                     tau)
         assignment.update(part.assignment)
     return Clustering(assignment)
 
@@ -291,8 +283,8 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
     grid = list(grid)
     if not grid:
         raise ValueError("empty threshold grid")
-    for tau in grid:  # a tau outside [0, 1] raises ValueError
-        ClusteringConfig(threshold=tau, scope=scope)
+    for tau in grid:
+        check_unit_interval("threshold", tau)
     eval_options = eval_options or EvalOptions()
     sequences = [(ids, merge_sequence(ids, _unit_matrix(ids, score_lookup)))
                  for ids in _scope_units(corpus, scope)]

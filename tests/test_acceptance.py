@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cscoref.cluster import ClusteringConfig, ScoreMatrix, \
-    agglomerative_cluster
+from cscoref.cluster import ScoreMatrix, agglomerative_cluster
 from cscoref.commonsense import format_prompt, parse_completion
 from cscoref.corpus import Clustering, load_corpus, validate_stats
 from cscoref.embed import EmbedderConfig
@@ -295,8 +294,7 @@ class TestCriterion7ClusteringProperties:
             matrix = ScoreMatrix(ids)
             for (a, b), s in scores.items():
                 matrix.set(a, b, s)
-            return agglomerative_cluster(
-                ids, matrix, ClusteringConfig(threshold=tau))
+            return agglomerative_cluster(ids, matrix, tau)
 
         scores = {("a", "b"): 0.9, ("a", "c"): 0.8, ("b", "c"): 0.2}
         singletons = run(scores, tau=0.95)

@@ -2,9 +2,8 @@ import itertools
 
 import pytest
 
-from cscoref.cluster import (ClusteringConfig, ScoreMatrix,
-                             agglomerative_cluster, read_clustering,
-                             write_clustering)
+from cscoref.cluster import (ScoreMatrix, agglomerative_cluster,
+                             read_clustering, write_clustering)
 from cscoref.corpus import Clustering
 
 
@@ -18,8 +17,7 @@ def matrix_from(scores):
 
 def run(scores, tau):
     ids, matrix = matrix_from(scores)
-    return agglomerative_cluster(ids, matrix,
-                                 ClusteringConfig(threshold=tau))
+    return agglomerative_cluster(ids, matrix, tau)
 
 
 class TestScoreMatrix:
@@ -75,8 +73,7 @@ class TestAgglomerative:
         matrix = ScoreMatrix(["a", "b", "c"])
         matrix.set("a", "b", 0.5)
         with pytest.raises(KeyError):
-            agglomerative_cluster(["a", "b", "c"], matrix,
-                                  ClusteringConfig(threshold=0.5))
+            agglomerative_cluster(["a", "b", "c"], matrix, 0.5)
 
     def test_output_is_partition(self, rng):
         for _ in range(50):
@@ -129,9 +126,10 @@ class TestAgglomerative:
                      tau=0.5)
         assert result.clusters() == {"a": {"a", "b"}, "c": {"c"}}
 
-    def test_only_average_linkage(self):
-        with pytest.raises(ValueError):
-            ClusteringConfig(linkage="single")
+    @pytest.mark.parametrize("tau", [1.5, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, tau):
+        with pytest.raises(ValueError, match="threshold"):
+            run({("a", "b"): 0.9}, tau=tau)
 
 
 class TestClusteringFile:

@@ -6,9 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscoref.cluster import (ClusteringConfig, ScoreMatrix,
-                             agglomerative_cluster, cut_merge_sequence,
-                             merge_sequence)
+from cscoref.cluster import (ScoreMatrix, agglomerative_cluster,
+                             cut_merge_sequence, merge_sequence)
 from cscoref.training import DEFAULT_THRESHOLD_GRID
 
 from oracles import agglomerative_cluster_oracle
@@ -51,8 +50,7 @@ def units(draw, quantized):
 def assert_matches_oracle(ids, scores, random_tau):
     matrix = matrix_from(ids, scores)
     for tau in (*DEFAULT_THRESHOLD_GRID, 0.0, 1.0, random_tau):
-        result = agglomerative_cluster(ids, matrix,
-                                       ClusteringConfig(threshold=tau))
+        result = agglomerative_cluster(ids, matrix, tau)
         expected = agglomerative_cluster_oracle(ids, DictScores(scores), tau)
         assert result.assignment == expected, tau
 

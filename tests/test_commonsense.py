@@ -428,6 +428,7 @@ def generation_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 class TestGenerationService:

@@ -107,6 +107,32 @@ class TestRoundTrip:
         assert "gold_cluster_id" not in lines[1]
 
 
+class TestUnits:
+    def test_keys_per_scope(self, two_topic_corpus):
+        def ids(scope):
+            return {unit: [m.mention_id for m in members] for unit, members
+                    in two_topic_corpus.units(scope).items()}
+        assert ids("subtopic") == {"t0_s0": ["p1", "p2"],
+                                   "t1_s0": ["p3", "p4"]}
+        assert ids("topic") == {"t0": ["p1", "p2"], "t1": ["p3", "p4"]}
+        assert ids("corpus") == {"corpus": ["p1", "p2", "p3", "p4"]}
+
+    def test_span_order_within_unit(self, tiny_corpus):
+        members = tiny_corpus.units("subtopic")["t0_s0"]
+        assert [m.mention_id for m in members] == ["m1", "m3", "m2"]
+
+    @pytest.mark.parametrize("scope", ["Topic", "subtopics", ""])
+    def test_unknown_scope_rejected(self, tiny_corpus, scope):
+        with pytest.raises(ValueError, match="scope"):
+            tiny_corpus.units(scope)
+
+    def test_subtopic_under_two_topics_rejected(self):
+        docs = [Document("d1", "t0", "s0", [["go"]]),
+                Document("d2", "t1", "s0", [["go"]])]
+        with pytest.raises(CorpusFormatError, match="'s0'"):
+            Corpus(docs, [])
+
+
 class TestCandidatePairs:
     def test_three_mentions_three_pairs(self, tiny_corpus):
         pairs = candidate_pairs(tiny_corpus, scope="subtopic")

@@ -93,6 +93,7 @@ def embedding_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _service_config(server, d=4):
@@ -137,13 +138,6 @@ class TestServiceEmbedder:
         doc = Document("d", "t", "s", [["a"]])
         with pytest.raises(EmbeddingError, match="unreachable"):
             embedder.embed_document(doc)
-
-    def test_response_cached_by_doc(self, embedding_server):
-        embedder = ServiceEmbedder(_service_config(embedding_server))
-        doc = Document("d", "t", "s", [["a", "b"]])
-        first = embedder.embed_document(doc)
-        second = embedder.embed_document(doc)
-        assert first is second
 
     def test_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):

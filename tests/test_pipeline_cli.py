@@ -478,7 +478,9 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out == first
 
 
-def cli_ini(tmp_path, config, out):
+def cli_ini(tmp_path, config, out, extra=""):
+    """An INI for ``config``'s corpus and fixtures; ``extra`` is appended
+    to its last section, ``[train]``."""
     ini = tmp_path / "cli.ini"
     ini.write_text(f"""
 [run]
@@ -502,7 +504,7 @@ fixtures = {config.commonsense.fixtures['test']}
 epochs = 1
 hidden = 16
 d_a = 2
-""", encoding="utf-8")
+{extra}""", encoding="utf-8")
     return ini
 
 
@@ -568,6 +570,39 @@ class TestRuntimeFailures:
         assert "threshold" in manifest["error"]["message"]
 
 
+class TestScopeChecks:
+    @pytest.mark.parametrize("extra, named", [
+        ("pair_scope = subtopic\n[cluster]\nscope = corpus\n",
+         "[cluster] scope = 'corpus'"),
+        ("[cluster]\nscope = Topic\n", "[cluster] scope = 'Topic'"),
+        ("[eval]\nunit = subtopics\n", "unit"),
+    ])
+    def test_train_fails_before_training(self, tmp_path, capsys, extra,
+                                         named):
+        config, _ = small_run_config(tmp_path)
+        out = tmp_path / "train"
+        code = cli.main(["train", "--config",
+                         str(cli_ini(tmp_path, config, out, extra))])
+        assert code == pipeline.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert not list(out.glob("checkpoint_seed*.bin"))
+
+    def test_predict_fails_before_scoring(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        out = tmp_path / "pred"
+        ini = cli_ini(tmp_path, config, out,
+                      "pair_scope = subtopic\n[cluster]\nscope = topic\n")
+        code = cli.main(["predict", "--config", str(ini), "--tau", "0.5",
+                         "--checkpoint",
+                         str(Path(config.out_dir) / "checkpoint_seed0.bin")])
+        assert code == pipeline.EXIT_USAGE
+        assert "broader than [train] pair_scope" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def gen_ini(tmp_path, config):
     ini = tmp_path / "run.ini"
     ini.write_text(f"""
@@ -614,6 +649,20 @@ class TestCliWiring:
         assert err.startswith("error: InferenceError: ")
         assert f"{cache}:3: " in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, args", [
+        ("score", ["--clustering", "clustering.jsonl"]),
+        ("explain", ["--checkpoint", "checkpoint.bin", "--pair", "a,b"]),
+    ])
+    def test_missing_split_path_named(self, tmp_path, capsys, command,
+                                      args):
+        config, _ = small_run_config(tmp_path)
+        ini = cli_ini(tmp_path, config, tmp_path / "out")
+        code = cli.main([command, "--config", str(ini), "--split", "dev",
+                         *args])
+        assert code == pipeline.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: no corpus path configured for 'dev'\n")
 
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

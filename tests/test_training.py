@@ -262,8 +262,7 @@ class TestTuneOnMergeSequences:
         monkeypatch.setattr(training, "merge_sequence", spy)
         monkeypatch.setattr(training, "agglomerative_cluster", no_clustering)
         tune_threshold_from_scores(corpus, lookup, scope=scope)
-        units = {(corpus.subtopic_of(m) if scope == "subtopic"
-                  else corpus.topic_of(m) if scope == "topic" else "")
+        units = {getattr(corpus.documents[m.doc_id], f"{scope}_id", "")
                  for m in corpus.mentions.values()}
         assert len(sequences) == len(units)
         assert sorted(m for ids in sequences for m in ids) == sorted(
