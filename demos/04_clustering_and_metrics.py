@@ -6,17 +6,14 @@ MUC (links), B-cubed (per-mention overlap), and CEAF-e (optimal one-to-one
 cluster alignment), averaged into the CoNLL score.
 """
 
-from cscoref import (Clustering, ScoreMatrix, agglomerative_cluster,
-                     b_cubed, ceaf_e, conll_f1, muc)
+from cscoref import (Clustering, agglomerative_cluster, b_cubed, ceaf_e,
+                     conll_f1, muc)
 
 print("hand trace: ab=0.9, ac=0.8, bc=0.2")
 ids = ["a", "b", "c"]
-matrix = ScoreMatrix(ids)
-matrix.set("a", "b", 0.9)
-matrix.set("a", "c", 0.8)
-matrix.set("b", "c", 0.2)
+pair_scores = {("a", "b"): 0.9, ("a", "c"): 0.8, ("b", "c"): 0.2}
 for tau in (0.95, 0.51, 0.5, 0.0):
-    result = agglomerative_cluster(ids, matrix, tau)
+    result = agglomerative_cluster(ids, pair_scores, tau)
     shape = sorted(sorted(v) for v in result.clusters().values())
     print(f"  tau={tau:4.2f} -> {shape}")
 print("  (at tau=0.5 the pair (a,b) merges at 0.9, then the average "

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cluster import ScoreMatrix, agglomerative_cluster
+from .cluster import agglomerative_cluster
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
                           InferenceSet, PromptExemplar, format_prompt,

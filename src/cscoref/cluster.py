@@ -2,45 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 from .corpus import Clustering
-
-
-class ScoreMatrix:
-    """Symmetric pairwise probabilities over a declared mention set.
-
-    Scores live in a dense float64 matrix over the sorted ids; an unset
-    pair holds NaN, which no accepted score can be.
-    """
-
-    def __init__(self, mention_ids):
-        ids = list(mention_ids)
-        self.mention_ids = sorted(set(ids))
-        if len(self.mention_ids) != len(ids):
-            raise ValueError("duplicate mention ids")
-        self._row = {m: i for i, m in enumerate(self.mention_ids)}
-        n = len(self.mention_ids)
-        self._scores = np.full((n, n), np.nan)
-
-    def _rows(self, a: str, b: str) -> tuple[int, int]:
-        if a == b:
-            raise ValueError(f"diagonal entry for {a!r} is unused")
-        return self._row[a], self._row[b]
-
-    def set(self, a: str, b: str, score: float):
-        check_unit_interval("score", score)
-        i, j = self._rows(a, b)
-        self._scores[i, j] = self._scores[j, i] = float(score)
-
-    def get(self, a: str, b: str) -> float:
-        i, j = self._rows(a, b)
-        score = self._scores[i, j]
-        if np.isnan(score):
-            raise KeyError(f"no score for pair {tuple(sorted((a, b)))}")
-        return float(score)
 
 
 def check_unit_interval(name: str, value: float):
@@ -49,30 +16,43 @@ def check_unit_interval(name: str, value: float):
         raise ValueError(f"{name} {value} outside [0, 1]")
 
 
-def merge_sequence(ids, scores: ScoreMatrix) -> list[tuple[float, str, str]]:
+def merge_sequence(ids, scores) -> list[tuple[float, str, str]]:
     """Average-linkage merges of ``ids`` all the way to one cluster.
 
-    Each step is ``(average, a, b)``: cluster ``b`` merges into cluster
-    ``a``, both named after their smallest member (``a < b``), at the
+    ``scores`` maps each sorted id pair ``(a, b)``, ``a < b``, to its
+    probability. Each step is ``(average, a, b)``: cluster ``b`` merges into
+    cluster ``a``, both named after their smallest member (``a < b``), at the
     average pairwise score between them. A step takes the highest average;
-    ties go to the lexicographically smallest (a, b) pair. Raises KeyError
-    when a pair of ``ids`` has no score.
+    ties go to the lexicographically smallest (a, b) pair. Raises ValueError
+    for duplicate ids or a score outside [0, 1] (NaN included), and KeyError
+    naming the first pair of ``ids``, in sorted order, with no score.
     """
     ids = sorted(ids)
     n = len(ids)
-    rows = [scores._row[m] for m in ids]
-    sums = scores._scores[np.ix_(rows, rows)]
-    unset = np.isnan(sums)
-    np.fill_diagonal(unset, False)
-    if unset.any():
-        i, j = np.argwhere(unset)[0]
-        raise KeyError(f"no score for pair {(ids[i], ids[j])}")
-    np.fill_diagonal(sums, 0.0)
+    if len(set(ids)) != n:
+        raise ValueError("duplicate mention ids")
+    pairs = list(itertools.combinations(ids, 2))
+    try:
+        values = np.array([scores[pair] for pair in pairs], dtype=np.float64)
+    except KeyError as exc:
+        raise KeyError(f"no score for pair {exc.args[0]}") from None
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"score {values[i]} for pair {pairs[i]} outside [0, 1]")
+    # combinations of sorted ids run in row-major order over the upper
+    # triangle; the diagonal stays 0
+    upper = np.triu_indices(n, k=1)
+    sums = np.zeros((n, n))
+    sums[upper] = values
+    sums.T[upper] = values
 
     # rows are sorted ids and a cluster keeps its smallest member's row, so
     # argmax's first maximum in row-major order over the upper triangle is
     # the smallest (min-member, min-member) pair
-    avg = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), sums, -np.inf)
+    avg = np.full((n, n), -np.inf)
+    avg[upper] = values
     size = np.ones(n)
     live = np.ones(n, dtype=bool)
     steps = []
@@ -102,8 +82,7 @@ def cut_merge_sequence(ids, steps, threshold: float) -> Clustering:
                        for m in members})
 
 
-def agglomerative_cluster(mentions, scores: ScoreMatrix,
-                          threshold: float) -> Clustering:
+def agglomerative_cluster(mentions, scores, threshold: float) -> Clustering:
     """Merge the most similar cluster pair until similarity drops below the
     threshold.
 
@@ -116,8 +95,9 @@ def agglomerative_cluster(mentions, scores: ScoreMatrix,
     is ``merge_sequence`` run to one cluster, then cut before the first merge
     whose average is below ``threshold`` (``cut_merge_sequence``). A caller
     that needs several thresholds records the sequence once and cuts it at
-    each. Raises ValueError for a threshold outside [0, 1] and KeyError when
-    the matrix has no score for some pair of ``mentions``.
+    each. ``scores`` maps sorted id pairs to probabilities, as for
+    ``merge_sequence``. Raises ValueError for a threshold outside [0, 1] and
+    KeyError when ``scores`` has no entry for some pair of ``mentions``.
     """
     check_unit_interval("threshold", threshold)
     ids = sorted(mentions)

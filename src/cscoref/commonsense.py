@@ -282,7 +282,7 @@ class InferenceCache:
         self._entries: dict[tuple, dict] = {}
         # how far this cache has read the file: bytes, and lines in them
         self._end = self._lines = 0
-        if path is not None and os.path.exists(path):
+        if os.path.exists(path):
             self._end, self._lines = _load(path, self._entries)
 
     def get(self, doc_id: str, mention_id: str,
@@ -303,7 +303,7 @@ class InferenceCache:
         with self._lock:
             existing = self._entries.get(key)
             if existing is None:
-                stored = rec if self.path is None else self._append(rec)
+                stored = self._append(rec)
                 self._entries[key] = stored
                 return inferences if stored is rec else \
                     _to_inference_set(stored)

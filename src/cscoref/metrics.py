@@ -49,11 +49,8 @@ def _muc_recall(key: Clustering, response: Clustering) -> float:
     num = 0
     den = 0
     for members in key.clusters().values():
-        # partition the key cluster by the response cluster of each mention;
-        # mentions missing from the response count as their own part
-        parts = set()
-        for m in members:
-            parts.add(response.assignment.get(m, ("none", m)))
+        # partition the key cluster by the response cluster of each mention
+        parts = {response.assignment[m] for m in members}
         num += len(members) - len(parts)
         den += len(members) - 1
     return num / den if den > 0 else 0.0
@@ -74,8 +71,7 @@ def _b3_recall(key: Clustering, response: Clustering) -> float:
     n = 0
     for members in key_clusters.values():
         for m in members:
-            rc = response.assignment.get(m)
-            resp_members = resp_clusters[rc] if rc is not None else {m}
+            resp_members = resp_clusters[response.assignment[m]]
             total += len(members & resp_members) / len(members)
             n += 1
     return total / n if n > 0 else 0.0

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cluster import write_clustering
+from .cluster import check_unit_interval, write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
                           PromptExemplar, get_inferences_bulk)
@@ -139,7 +139,11 @@ def _get(section, key, conv, default):
         return default
     raw = section[key]
     if conv is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ConfigError(
+                f"[{section.name}] {key} = {raw!r} is not a boolean")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     if raw.strip().lower() == "none":
         return None
     return conv(raw)
@@ -427,6 +431,8 @@ def cmd_train(config: RunConfig) -> int:
     _require_paths(config, ["train"] + (["dev"] if "dev"
                                         in config.corpus_paths else []))
     _check_scopes(config)
+    if config.threshold is not None:
+        check_unit_interval("[cluster] threshold", config.threshold)
     with run_dir(config, "train") as out:
         mode = config.train.mode
         train_corpus = load_corpus(config.corpus_paths["train"])
@@ -481,14 +487,16 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
                 tau: Optional[float] = None) -> int:
     _require_paths(config, [split])
     _check_scopes(config)
+    if tau is None:
+        tau = config.threshold
+    if tau is not None:
+        check_unit_interval("threshold", tau)
     with run_dir(config, "predict") as out:
         corpus = load_corpus(config.corpus_paths[split])
         params = _load_checked_checkpoint(config, checkpoint_path)
         mode = params.dims.mode
         data = _dataset_for(config, corpus, split, mode,
                             default_strict=False)
-        if tau is None:
-            tau = config.threshold
         if tau is None:
             raise ConfigError("no threshold: pass --tau or set [cluster] "
                               "threshold")

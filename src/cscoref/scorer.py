@@ -89,11 +89,6 @@ class ModelParameters:
         return ModelParameters(self.dims, **{n: a.copy()
                                              for n, a in self.blocks().items()})
 
-    def check_finite(self):
-        for name, arr in self.blocks().items():
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteParameterError(name)
-
 
 def _expected_shapes(dims: ModelDims) -> dict[str, tuple]:
     r = dims.rep_dim
@@ -600,8 +595,7 @@ def save_checkpoint(params: ModelParameters, path):
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path, expected: Optional[ModelDims] = None
-                    ) -> ModelParameters:
+def load_checkpoint(path) -> ModelParameters:
     with open(path, "rb") as fh:
         magic = fh.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
@@ -616,10 +610,6 @@ def load_checkpoint(path, expected: Optional[ModelDims] = None
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
                 TypeError) as exc:
             raise ScorerError(f"{path}: corrupt checkpoint header") from exc
-        if expected is not None and dims != expected:
-            raise ScorerError(
-                f"checkpoint header {dims} does not match configured "
-                f"{expected}")
         arrays = {}
         for name in BLOCK_ORDER:
             line = fh.readline().decode("utf-8")

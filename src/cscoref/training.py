@@ -8,9 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cluster import (ScoreMatrix, agglomerative_cluster,
-                      check_unit_interval, cut_merge_sequence,
-                      merge_sequence)
+from .cluster import (agglomerative_cluster, check_unit_interval,
+                      cut_merge_sequence, merge_sequence)
 from .commonsense import GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
@@ -249,21 +248,12 @@ def _scope_units(corpus: Corpus, scope: str) -> list[list[str]]:
             for members in corpus.units(scope).values()]
 
 
-def _unit_matrix(ids: list[str], score_lookup: dict) -> ScoreMatrix:
-    matrix = ScoreMatrix(ids)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            matrix.set(a, b, score_lookup[(a, b)])
-    return matrix
-
-
 def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
                         scope: str = "subtopic") -> Clustering:
     """Cluster every scope unit at threshold tau from a pair-score lookup."""
     assignment = {}
     for ids in _scope_units(corpus, scope):
-        part = agglomerative_cluster(ids, _unit_matrix(ids, score_lookup),
-                                     tau)
+        part = agglomerative_cluster(ids, score_lookup, tau)
         assignment.update(part.assignment)
     return Clustering(assignment)
 
@@ -286,7 +276,7 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
     for tau in grid:
         check_unit_interval("threshold", tau)
     eval_options = eval_options or EvalOptions()
-    sequences = [(ids, merge_sequence(ids, _unit_matrix(ids, score_lookup)))
+    sequences = [(ids, merge_sequence(ids, score_lookup))
                  for ids in _scope_units(corpus, scope)]
     best = None
     for tau in grid:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cscoref.cluster import ScoreMatrix, agglomerative_cluster
+from cscoref.cluster import agglomerative_cluster
 from cscoref.commonsense import format_prompt, parse_completion
 from cscoref.corpus import Clustering, load_corpus, validate_stats
 from cscoref.embed import EmbedderConfig
@@ -291,10 +291,7 @@ class TestCriterion7ClusteringProperties:
     def test_clustering_properties(self):
         def run(scores, tau):
             ids = sorted({m for pair in scores for m in pair})
-            matrix = ScoreMatrix(ids)
-            for (a, b), s in scores.items():
-                matrix.set(a, b, s)
-            return agglomerative_cluster(ids, matrix, tau)
+            return agglomerative_cluster(ids, scores, tau)
 
         scores = {("a", "b"): 0.9, ("a", "c"): 0.8, ("b", "c"): 0.2}
         singletons = run(scores, tau=0.95)

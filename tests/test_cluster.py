@@ -2,44 +2,28 @@ import itertools
 
 import pytest
 
-from cscoref.cluster import (ScoreMatrix, agglomerative_cluster,
+from cscoref.cluster import (agglomerative_cluster, merge_sequence,
                              read_clustering, write_clustering)
 from cscoref.corpus import Clustering
 
 
-def matrix_from(scores):
-    ids = sorted({m for pair in scores for m in pair})
-    matrix = ScoreMatrix(ids)
-    for (a, b), s in scores.items():
-        matrix.set(a, b, s)
-    return ids, matrix
-
-
 def run(scores, tau):
-    ids, matrix = matrix_from(scores)
-    return agglomerative_cluster(ids, matrix, tau)
+    ids = sorted({m for pair in scores for m in pair})
+    return agglomerative_cluster(ids, scores, tau)
 
 
-class TestScoreMatrix:
-    def test_symmetric_access(self):
-        matrix = ScoreMatrix(["a", "b"])
-        matrix.set("b", "a", 0.7)
-        assert matrix.get("a", "b") == 0.7
-
-    def test_diagonal_rejected(self):
-        matrix = ScoreMatrix(["a", "b"])
-        with pytest.raises(ValueError):
-            matrix.set("a", "a", 0.5)
+class TestPairScores:
+    def test_id_order_does_not_matter(self):
+        scores = {("a", "b"): 0.7}
+        assert merge_sequence(["b", "a"], scores) == [(0.7, "a", "b")]
 
     def test_range_checked(self):
-        matrix = ScoreMatrix(["a", "b"])
-        with pytest.raises(ValueError):
-            matrix.set("a", "b", 1.5)
+        with pytest.raises(ValueError, match="'a', 'b'"):
+            merge_sequence(["a", "b"], {("a", "b"): 1.5})
 
     def test_missing_pair(self):
-        matrix = ScoreMatrix(["a", "b"])
         with pytest.raises(KeyError):
-            matrix.get("a", "b")
+            merge_sequence(["a", "b"], {})
 
 
 class TestAgglomerative:
@@ -70,10 +54,8 @@ class TestAgglomerative:
         assert len(result) == 1
 
     def test_missing_score_rejected(self):
-        matrix = ScoreMatrix(["a", "b", "c"])
-        matrix.set("a", "b", 0.5)
         with pytest.raises(KeyError):
-            agglomerative_cluster(["a", "b", "c"], matrix, 0.5)
+            agglomerative_cluster(["a", "b", "c"], {("a", "b"): 0.5}, 0.5)
 
     def test_output_is_partition(self, rng):
         for _ in range(50):

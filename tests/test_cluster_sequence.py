@@ -6,8 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscoref.cluster import (ScoreMatrix, agglomerative_cluster,
-                             cut_merge_sequence, merge_sequence)
+from cscoref.cluster import (agglomerative_cluster, cut_merge_sequence,
+                             merge_sequence)
 from cscoref.training import DEFAULT_THRESHOLD_GRID
 
 from oracles import agglomerative_cluster_oracle
@@ -25,13 +25,6 @@ class DictScores:
         return self.scores[(a, b) if a < b else (b, a)]
 
 
-def matrix_from(ids, scores):
-    matrix = ScoreMatrix(ids)
-    for (a, b), s in scores.items():
-        matrix.set(a, b, s)
-    return matrix
-
-
 @st.composite
 def units(draw, quantized):
     n = draw(st.integers(0, 12))
@@ -41,16 +34,15 @@ def units(draw, quantized):
         score = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
     else:
         score = st.floats(0.0, 1.0, allow_nan=False)
-    scores = {pair: draw(score)
+    scores = {tuple(sorted(pair)): draw(score)
               for pair in itertools.combinations(ids, 2)}
     tau = draw(st.floats(0.0, 1.0, allow_nan=False))
     return ids, scores, tau
 
 
 def assert_matches_oracle(ids, scores, random_tau):
-    matrix = matrix_from(ids, scores)
     for tau in (*DEFAULT_THRESHOLD_GRID, 0.0, 1.0, random_tau):
-        result = agglomerative_cluster(ids, matrix, tau)
+        result = agglomerative_cluster(ids, scores, tau)
         expected = agglomerative_cluster_oracle(ids, DictScores(scores), tau)
         assert result.assignment == expected, tau
 
@@ -71,34 +63,30 @@ class TestAgainstOracle:
 
 class TestHandTrace:
     def test_sequence_averages(self):
-        steps = merge_sequence(["c", "b", "a"], matrix_from("abc", HAND))
+        steps = merge_sequence(["c", "b", "a"], HAND)
         assert [(avg, a, b) for avg, a, b in steps] == [
             (0.9, "a", "b"), (0.5, "a", "c")]
 
     def test_cut_at_half_merges_everything(self):
-        steps = merge_sequence("abc", matrix_from("abc", HAND))
+        steps = merge_sequence("abc", HAND)
         assert set(cut_merge_sequence("abc", steps, 0.5)
                    .assignment.values()) == {"a"}
 
     def test_cut_just_above_stops_after_one_merge(self):
-        steps = merge_sequence("abc", matrix_from("abc", HAND))
+        steps = merge_sequence("abc", HAND)
         assert cut_merge_sequence("abc", steps, 0.51).clusters() == {
             "a": {"a", "b"}, "c": {"c"}}
 
 
-class TestScoreMatrixChecks:
+class TestPairScoreChecks:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix(["a", "b", "a"])
+        with pytest.raises(ValueError, match="duplicate"):
+            merge_sequence(["a", "b", "a"], {("a", "b"): 0.5})
 
     def test_nan_rejected(self):
-        matrix = ScoreMatrix(["a", "b"])
-        with pytest.raises(ValueError):
-            matrix.set("a", "b", float("nan"))
-        with pytest.raises(KeyError):
-            matrix.get("a", "b")
+        with pytest.raises(ValueError, match="'a', 'b'"):
+            merge_sequence("ab", {("a", "b"): float("nan")})
 
     def test_missing_pair_named(self):
-        matrix = matrix_from("abc", {("a", "b"): 0.5, ("a", "c"): 0.5})
         with pytest.raises(KeyError, match="'b', 'c'"):
-            merge_sequence("abc", matrix)
+            merge_sequence("abc", {("a", "b"): 0.5, ("a", "c"): 0.5})

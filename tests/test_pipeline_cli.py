@@ -128,6 +128,23 @@ drop_singletons = false
         with pytest.raises(ConfigError):
             load_run_config("/nonexistent/run.ini")
 
+    @pytest.mark.parametrize("section, key", [
+        ("eval", "topic_level"), ("eval", "drop_singletons"),
+        ("commonsense", "strict")])
+    def test_non_boolean_word_rejected(self, tmp_path, section, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = ture\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = "):
+            load_run_config(ini)
+
+    @pytest.mark.parametrize("word, value", [
+        ("off", False), ("0", False), ("No", False), ("on", True),
+        ("1", True), (" YES ", True)])
+    def test_boolean_words(self, tmp_path, word, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[eval]\ntopic_level = {word}\n", encoding="utf-8")
+        assert load_run_config(ini).eval_options.topic_level is value
+
     def test_fingerprint_stable(self):
         assert preset("desk").fingerprint() == preset("desk").fingerprint()
         assert preset("desk").fingerprint() != preset("service").fingerprint()
@@ -600,6 +617,34 @@ class TestScopeChecks:
                          str(Path(config.out_dir) / "checkpoint_seed0.bin")])
         assert code == pipeline.EXIT_USAGE
         assert "broader than [train] pair_scope" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestThresholdCheck:
+    def test_train_rejects_before_training(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        out = tmp_path / "train"
+        ini = cli_ini(tmp_path, config, out, "[cluster]\nthreshold = 1.5\n")
+        code = cli.main(["train", "--config", str(ini)])
+        assert code == pipeline.EXIT_USAGE
+        assert "threshold 1.5 outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, tau", [
+        ("[cluster]\nthreshold = -0.5\n", []),
+        ("", ["--tau", "1.5"]), ("", ["--tau", "nan"])],
+        ids=["config-below", "tau-above", "tau-nan"])
+    def test_predict_rejects_before_scoring(self, tmp_path, capsys, extra,
+                                            tau):
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        out = tmp_path / "pred"
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out, extra)), *tau,
+                         "--checkpoint",
+                         str(Path(config.out_dir) / "checkpoint_seed0.bin")])
+        assert code == pipeline.EXIT_USAGE
+        assert "outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
 
