@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import pipeline
 from .commonsense import InferenceError
 from .embed import EmbeddingError
 from .pipeline import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, ConfigError,
-                       load_run_config)
+                       load_run_config, parse_seeds)
 from .scorer import ScorerError
 from .synthgen import SyntheticSpec
 
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="run config INI file")
-    sub.add_argument("--preset", default="desk",
+    sub.add_argument("--preset", default=pipeline.DEFAULT_PRESET,
                      help="config preset when no --config is given")
     sub.add_argument("--out", help="output directory override")
     sub.add_argument("--seed", help="comma-separated seed list override")
@@ -42,10 +43,8 @@ def _resolve_config(args) -> pipeline.RunConfig:
     if args.out:
         config.out_dir = args.out
     if args.seed:
-        config.seeds = tuple(int(s) for s in args.seed.split(",")
-                             if s.strip())
+        config.seeds = parse_seeds(args.seed)
     if args.mode:
-        from dataclasses import replace
         config.train = replace(config.train, mode=args.mode)
     return config
 
@@ -146,8 +145,8 @@ def main(argv=None) -> int:
                                         second.strip(), split=args.split,
                                         out_path=args.trace_out)
         if args.command == "gradcheck":
-            seeds = tuple(int(s) for s in args.seed.split(",") if s.strip())
-            return pipeline.cmd_gradcheck(mode=args.mode, seeds=seeds)
+            return pipeline.cmd_gradcheck(mode=args.mode,
+                                          seeds=parse_seeds(args.seed))
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

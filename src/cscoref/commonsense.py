@@ -251,6 +251,18 @@ def read_records(path) -> dict[tuple, dict]:
     return entries
 
 
+def encode_record(doc_id: str,
+                  inferences: InferenceSet) -> tuple[dict, bytes]:
+    """The record of ``inferences`` and its line in a cache or fixture
+    file: compact UTF-8 JSON ending in a newline."""
+    rec = {"doc_id": doc_id, "mention_id": inferences.mention_id,
+           "before": list(inferences.before),
+           "after": list(inferences.after),
+           "provenance": inferences.provenance}
+    return rec, json.dumps(rec, ensure_ascii=False,
+                           separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def _to_inference_set(rec: dict) -> InferenceSet:
     return InferenceSet(mention_id=rec["mention_id"],
                         before=tuple(rec["before"]),
@@ -295,15 +307,12 @@ class InferenceCache:
         """Store ``inferences`` and return the set the cache keeps for its
         key: ``inferences``, or the set another process sharing the file
         wrote first."""
-        rec = {"doc_id": doc_id, "mention_id": inferences.mention_id,
-               "before": list(inferences.before),
-               "after": list(inferences.after),
-               "provenance": inferences.provenance}
+        rec, line = encode_record(doc_id, inferences)
         key = _key(rec)
         with self._lock:
             existing = self._entries.get(key)
             if existing is None:
-                stored = self._append(rec)
+                stored = self._append(rec, line)
                 self._entries[key] = stored
                 return inferences if stored is rec else \
                     _to_inference_set(stored)
@@ -313,12 +322,10 @@ class InferenceCache:
                     f"overwrite it with a different inference set")
         return inferences  # idempotent re-put
 
-    def _append(self, rec: dict) -> dict:
-        """Append ``rec`` and return it, unless another process appended
-        its key since this cache last read the file: then adopt and return
-        that record instead."""
-        line = json.dumps(rec, ensure_ascii=False,
-                          separators=(",", ":")).encode("utf-8") + b"\n"
+    def _append(self, rec: dict, line: bytes) -> dict:
+        """Append ``line``, the encoding of ``rec``, and return ``rec``,
+        unless another process appended its key since this cache last read
+        the file: then adopt and return that record instead."""
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
@@ -349,15 +356,10 @@ class InferenceCache:
 class FixtureProvider:
     """Serves inference sets from a fixture file (same format as the cache)."""
 
-    def __init__(self, path=None, records=None, strict: bool = True):
+    def __init__(self, path, strict: bool = True):
         self.strict = strict
-        self._by_mention: dict[str, InferenceSet] = {}
-        if records is not None:
-            for inf in records:
-                self._by_mention[inf.mention_id] = inf
-        if path is not None:
-            for rec in read_records(path).values():
-                self._by_mention[rec["mention_id"]] = _to_inference_set(rec)
+        self._by_mention = {rec["mention_id"]: _to_inference_set(rec)
+                            for rec in read_records(path).values()}
 
     def fingerprint(self, config: GenerationConfig) -> str:
         return "fixture"
@@ -384,19 +386,20 @@ class GenerationServiceProvider:
     Request body: {"prompt", "top_p", "max_tokens", "stop"}; response:
     {"completion": str}. The credential is read from the environment at call
     time, sent as a bearer token, and never persisted or logged. Failures are
-    retried with exponential backoff.
+    retried with exponential backoff: ``MAX_ATTEMPTS`` tries, the first
+    wait ``BACKOFF_START`` seconds, doubling after each.
     """
+
+    MAX_ATTEMPTS = 3
+    BACKOFF_START = 1.0
 
     def __init__(self, endpoint: str, model_id: str = "default",
                  exemplars: Optional[list] = None, session=None,
-                 max_attempts: int = 3, backoff_start: float = 1.0,
                  sleep=time.sleep, timeout: float = 60.0):
         self.endpoint = endpoint
         self.model_id = model_id
         self.exemplars = exemplars
         self._session = session or requests.Session()
-        self.max_attempts = max_attempts
-        self.backoff_start = backoff_start
         self._sleep = sleep
         self.timeout = timeout
 
@@ -411,9 +414,9 @@ class GenerationServiceProvider:
         credential = os.environ.get(GENERATION_CREDENTIAL_ENV)
         if credential:
             headers["Authorization"] = f"Bearer {credential}"
-        delay = self.backoff_start
+        delay = self.BACKOFF_START
         last_error = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(self.MAX_ATTEMPTS):
             if attempt > 0:
                 self._sleep(delay)
                 delay *= 2
@@ -466,10 +469,14 @@ def get_inferences(provider, mention, context_sentence: str,
     return result.truncated(config.k)
 
 
+BULK_CONCURRENCY = 4
+
+
 def get_inferences_bulk(provider, corpus, config: GenerationConfig,
-                        cache: Optional[InferenceCache] = None,
-                        max_concurrency: int = 4) -> dict[str, InferenceSet]:
-    """Fetch inference sets for every mention, deduplicating cache misses."""
+                        cache: Optional[InferenceCache] = None
+                        ) -> dict[str, InferenceSet]:
+    """Fetch inference sets for every mention, deduplicating cache misses;
+    ``BULK_CONCURRENCY`` threads fetch the misses."""
     from concurrent.futures import ThreadPoolExecutor
 
     mentions = corpus.mentions_in_order()
@@ -490,7 +497,7 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
                                             cache=cache)
 
     if pending:
-        with ThreadPoolExecutor(max_concurrency) as pool:
+        with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
             for mention_id, inf in pool.map(fetch, pending):
                 results[mention_id] = inf
     return results

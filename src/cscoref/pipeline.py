@@ -1,8 +1,9 @@
 """Run orchestration: config files, presets, run directories, commands.
 
 A run config is an INI file with sections [corpus], [embedder],
-[commonsense], [train], [cluster], [eval], and [run]. Two named presets
-cover the common cases: "desk" (hash embeddings, d=16, synthetic-scale) and
+[commonsense], [train], [cluster], [eval], and [run], whose keys update a
+named preset; ``CONFIG_KEYS`` lists every accepted key. Two presets cover
+the common cases: "desk" (hash embeddings, d=16, synthetic-scale) and
 "service" (contextual embedding service at d=1024).
 """
 
@@ -33,8 +34,7 @@ from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
 from .training import (TrainConfig, build_dataset, cluster_from_scores,
                        gradcheck, predict_clustering, score_dataset,
-                       scores_as_lookup, train, tune_threshold_from_scores,
-                       DEFAULT_THRESHOLD_GRID)
+                       scores_as_lookup, train, tune_threshold_from_scores)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -67,37 +67,23 @@ class RunConfig:
     commonsense: CommonsenseConfig = field(default_factory=CommonsenseConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     threshold: Optional[float] = None  # None: tune on dev
-    threshold_grid: tuple = DEFAULT_THRESHOLD_GRID
     cluster_scope: str = "subtopic"
     eval_options: EvalOptions = field(default_factory=EvalOptions)
     out_dir: str = "runs/out"
     seeds: tuple = (0, 1, 2)
 
     def fingerprint(self) -> str:
-        blob = json.dumps(_config_digest_dict(self), sort_keys=True)
+        """Digest of every setting except where the run writes and reads
+        its files (out_dir, cache_path, exemplars_path)."""
+        digest = asdict(self)
+        del digest["out_dir"]
+        del digest["commonsense"]["cache_path"]
+        del digest["commonsense"]["exemplars_path"]
+        blob = json.dumps(digest, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _config_digest_dict(config: RunConfig) -> dict:
-    return {
-        "corpus_paths": dict(config.corpus_paths),
-        "embedder": asdict(config.embedder),
-        "commonsense": {
-            "provider": config.commonsense.provider,
-            "fixtures": dict(config.commonsense.fixtures),
-            "synthetic_spec": (asdict(config.commonsense.synthetic_spec)
-                               if config.commonsense.synthetic_spec else None),
-            "endpoint": config.commonsense.endpoint,
-            "model_id": config.commonsense.model_id,
-            "strict": config.commonsense.strict,
-            "generation": asdict(config.commonsense.generation),
-        },
-        "train": asdict(config.train),
-        "threshold": config.threshold,
-        "cluster_scope": config.cluster_scope,
-        "eval": asdict(config.eval_options),
-        "seeds": list(config.seeds),
-    }
+DEFAULT_PRESET = "desk"
 
 
 def preset(name: str) -> RunConfig:
@@ -134,121 +120,137 @@ DESK_SPLIT_SPECS = {
 }
 
 
-def _get(section, key, conv, default):
-    if section is None or key not in section:
-        return default
-    raw = section[key]
+SPLITS = ("train", "dev", "test")
+
+
+def parse_seeds(text: str) -> tuple:
+    """The seeds of a comma-separated list such as ``0,1,2``."""
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+def _fields(prefix: str, *pairs) -> dict:
+    return {key: (prefix + key, conv) for key, conv in pairs}
+
+
+# The keys a run config accepts: {section: {key: (field, converter)}}. A
+# field is a dotted path from RunConfig, e.g. "commonsense.generation.k".
+CONFIG_KEYS = {
+    "run": {"preset": ("preset", str), "out": ("out_dir", str),
+            "seeds": ("seeds", str)},
+    "corpus": _fields("corpus_paths.", *((split, str) for split in SPLITS)),
+    "embedder": _fields("embedder.", ("provider", str), ("d", int),
+                        ("seed", int), ("endpoint", str), ("d_len", int),
+                        ("max_width_bucket", int)),
+    "commonsense": {
+        **_fields("commonsense.", ("provider", str), ("endpoint", str),
+                  ("model_id", str), ("strict", bool)),
+        "exemplars": ("commonsense.exemplars_path", str),
+        "cache": ("commonsense.cache_path", str),
+        # the shared file serves each split without a fixtures_<split> key
+        "fixtures": ("commonsense.fixtures.*", str),
+        **{f"fixtures_{split}": (f"commonsense.fixtures.{split}", str)
+           for split in SPLITS},
+        **_fields("commonsense.generation.", ("top_p", float),
+                  ("max_tokens", int), ("stop", str), ("k", int)),
+        "prompt_mode": ("commonsense.generation.mode", str),
+        **{f"synthetic_{key}": (f"commonsense.synthetic_spec.{key}", conv)
+           for key, conv in (("n_topics", int), ("clusters_per_topic", int),
+                             ("mentions_per_cluster", int),
+                             ("hard_fraction", float),
+                             ("distractor_rate", float), ("seed", int))},
+    },
+    "train": _fields("train.", ("learning_rate", float), ("batch_size", int),
+                     ("dropout", float), ("epochs", int), ("patience", int),
+                     ("seed", int), ("mode", str), ("d_a", int),
+                     ("hidden", int), ("pair_scope", str)),
+    "cluster": {"threshold": ("threshold", float),
+                "scope": ("cluster_scope", str)},
+    "eval": _fields("eval_options.", ("topic_level", bool),
+                    ("drop_singletons", bool), ("unit", str)),
+}
+
+
+def _convert(section: str, key: str, raw: str, conv):
+    """A boolean takes only configparser's words; any other value reads
+    ``none`` as None."""
     if conv is bool:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise ConfigError(
-                f"[{section.name}] {key} = {raw!r} is not a boolean")
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
         return configparser.ConfigParser.BOOLEAN_STATES[word]
     if raw.strip().lower() == "none":
         return None
     return conv(raw)
 
 
-def load_run_config(path) -> RunConfig:
+def _read_values(path) -> dict:
+    """{field: value} for every key the file sets; an unknown section or
+    key, including any key under [DEFAULT], is a ConfigError."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    base = _get(parser["run"] if "run" in parser else None, "preset", str,
-                "desk")
-    config = preset(base)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc.message}") from None
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] {', '.join(parser.defaults())}: "
+                          f"[DEFAULT] keys would be set in every section")
+    values = {}
+    for section in parser.sections():
+        accepted = CONFIG_KEYS.get(section)
+        if accepted is None:
+            raise ConfigError(f"unknown section [{section}]; known: "
+                              f"{', '.join(CONFIG_KEYS)}")
+        for key, raw in parser[section].items():
+            if key not in accepted:
+                raise ConfigError(f"unknown key [{section}] {key}; known: "
+                                  f"{', '.join(accepted)}")
+            field_path, conv = accepted[key]
+            values[field_path] = _convert(section, key, raw, conv)
+    return values
 
-    corpus = parser["corpus"] if "corpus" in parser else None
-    for split in ("train", "dev", "test"):
-        value = _get(corpus, split, str, None)
-        if value:
-            config.corpus_paths[split] = value
 
-    emb = parser["embedder"] if "embedder" in parser else None
-    config.embedder = EmbedderConfig(
-        provider=_get(emb, "provider", str, config.embedder.provider),
-        d=_get(emb, "d", int, config.embedder.d),
-        seed=_get(emb, "seed", int, config.embedder.seed),
-        endpoint=_get(emb, "endpoint", str, config.embedder.endpoint),
-        d_len=_get(emb, "d_len", int, config.embedder.d_len),
-        max_width_bucket=_get(emb, "max_width_bucket", int,
-                              config.embedder.max_width_bucket),
-    )
+def _update(target, values: dict):
+    """``target`` with each dotted field path in ``values`` set: a
+    dataclass through ``dataclasses.replace``, a dict as a merged copy."""
+    direct, nested = {}, {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            direct[head] = value
+    for head, sub in nested.items():
+        direct[head] = _update(getattr(target, head), sub)
+    if isinstance(target, dict):
+        return {**target, **direct}
+    return replace(target, **direct)
 
-    cs = parser["commonsense"] if "commonsense" in parser else None
-    fixtures = {}
-    for split in ("train", "dev", "test"):
-        value = _get(cs, f"fixtures_{split}", str, None)
-        if value:
-            fixtures[split] = value
-    shared = _get(cs, "fixtures", str, None)
-    if shared:
-        for split in ("train", "dev", "test"):
-            fixtures.setdefault(split, shared)
-    generation = GenerationConfig(
-        top_p=_get(cs, "top_p", float, 0.9),
-        max_tokens=_get(cs, "max_tokens", int, 150),
-        stop=_get(cs, "stop", str, "END"),
-        k=_get(cs, "k", int, 5),
-        mode=_get(cs, "prompt_mode", str, "finetuned"),
-    )
-    synth_spec = None
-    if _get(cs, "synthetic_seed", str, None) is not None:
-        synth_spec = SyntheticSpec(
-            n_topics=_get(cs, "synthetic_n_topics", int, 4),
-            clusters_per_topic=_get(cs, "synthetic_clusters_per_topic", int,
-                                    4),
-            mentions_per_cluster=_get(cs, "synthetic_mentions_per_cluster",
-                                      int, 4),
-            hard_fraction=_get(cs, "synthetic_hard_fraction", float, 0.5),
-            distractor_rate=_get(cs, "synthetic_distractor_rate", float,
-                                 0.5),
-            seed=_get(cs, "synthetic_seed", int, 0),
-        )
-    config.commonsense = CommonsenseConfig(
-        provider=_get(cs, "provider", str, "fixture"),
-        fixtures=fixtures,
-        synthetic_spec=synth_spec,
-        endpoint=_get(cs, "endpoint", str, None),
-        model_id=_get(cs, "model_id", str, "default"),
-        exemplars_path=_get(cs, "exemplars", str, None),
-        strict=_get(cs, "strict", bool, None),
-        cache_path=_get(cs, "cache", str, None),
-        generation=generation,
-    )
 
-    tr = parser["train"] if "train" in parser else None
-    config.train = TrainConfig(
-        learning_rate=_get(tr, "learning_rate", float,
-                           config.train.learning_rate),
-        batch_size=_get(tr, "batch_size", int, config.train.batch_size),
-        dropout=_get(tr, "dropout", float, config.train.dropout),
-        epochs=_get(tr, "epochs", int, config.train.epochs),
-        patience=_get(tr, "patience", int, config.train.patience),
-        seed=_get(tr, "seed", int, config.train.seed),
-        mode=_get(tr, "mode", str, config.train.mode),
-        d_a=_get(tr, "d_a", int, config.train.d_a),
-        hidden=_get(tr, "hidden", int, config.train.hidden),
-        pair_scope=_get(tr, "pair_scope", str, config.train.pair_scope),
-    )
-
-    cl = parser["cluster"] if "cluster" in parser else None
-    config.threshold = _get(cl, "threshold", float, None)
-    config.cluster_scope = _get(cl, "scope", str, "subtopic")
-
-    ev = parser["eval"] if "eval" in parser else None
-    config.eval_options = EvalOptions(
-        topic_level=_get(ev, "topic_level", bool, True),
-        drop_singletons=_get(ev, "drop_singletons", bool, True),
-        unit=_get(ev, "unit", str, "topic"),
-    )
-
-    run = parser["run"] if "run" in parser else None
-    config.out_dir = _get(run, "out", str, config.out_dir)
-    seeds = _get(run, "seeds", str, None)
+def load_run_config(path) -> RunConfig:
+    """The preset named by ``[run] preset`` (or the default), updated with
+    the keys the file sets. Empty corpus and fixture paths and an empty
+    seed list are not set; a SyntheticSpec is built only when
+    ``synthetic_seed`` is set."""
+    values = _read_values(path)
+    config = preset(values.pop("preset", DEFAULT_PRESET))
+    seeds = values.pop("seeds", None)
     if seeds:
-        config.seeds = tuple(int(s) for s in seeds.split(",") if s.strip())
-    return config
+        values["seeds"] = parse_seeds(seeds)
+    shared = values.pop("commonsense.fixtures.*", None)
+    for split in SPLITS:
+        for field_path in (f"corpus_paths.{split}",
+                           f"commonsense.fixtures.{split}"):
+            if not values.get(field_path):
+                values.pop(field_path, None)
+        if shared:
+            values.setdefault(f"commonsense.fixtures.{split}", shared)
+    prefix = "commonsense.synthetic_spec."
+    synthetic = {path[len(prefix):]: values.pop(path)
+                 for path in list(values) if path.startswith(prefix)}
+    if synthetic.get("seed") is not None:
+        values["commonsense.synthetic_spec"] = SyntheticSpec(**synthetic)
+    return _update(config, values)
 
 
 def load_exemplars(path) -> list:
@@ -456,8 +458,7 @@ def cmd_train(config: RunConfig) -> int:
                 tau = config.threshold
             else:
                 tau = tune_threshold_from_scores(
-                    eval_corpus, lookup, grid=config.threshold_grid,
-                    scope=config.cluster_scope,
+                    eval_corpus, lookup, scope=config.cluster_scope,
                     eval_options=config.eval_options)
             system = cluster_from_scores(eval_corpus, lookup, tau,
                                          scope=config.cluster_scope)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commonsense import GenerationConfig, InferenceSet
+from .commonsense import GenerationConfig, InferenceSet, encode_record
 from .corpus import Corpus, Document, Mention
 
 SUBJECTS = ("Alice", "Omar", "Priya", "Jonas", "Mei", "Tariq", "Lena",
@@ -307,17 +307,11 @@ def generate_synthetic(spec: SyntheticSpec):
 
 def write_fixtures(corpus: Corpus, fixtures: dict, path):
     """Fixture file with the same record format as the inference cache."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for mention_id in sorted(fixtures):
-            inf = fixtures[mention_id]
-            doc_id = corpus.mentions[mention_id].doc_id
-            rec = {"doc_id": doc_id, "mention_id": mention_id,
-                   "before": list(inf.before), "after": list(inf.after),
-                   "provenance": inf.provenance}
-            fh.write(json.dumps(rec, ensure_ascii=False,
-                                separators=(",", ":")) + "\n")
+            _, line = encode_record(corpus.mentions[mention_id].doc_id,
+                                    fixtures[mention_id])
+            fh.write(line)
 
 
 def is_hard_cluster_id(cluster_id: str) -> bool:

@@ -24,9 +24,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 128
     dropout: float = 0.3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 10
     patience: Optional[int] = 2  # None disables early stopping
     seed: int = 0
@@ -119,28 +116,28 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
 class Adam:
     """Adaptive-moment updates over the named parameter blocks."""
 
-    def __init__(self, dims: ModelDims, lr: float, beta1: float,
-                 beta2: float, eps: float):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, dims: ModelDims, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = zero_gradients(dims)
         self.v = zero_gradients(dims)
 
     def step(self, params: ModelParameters, grads: dict):
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * np.square(g)
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
             arr = getattr(params, name)
             arr -= self.lr * update
 
@@ -188,8 +185,7 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
 
     dims = train_config.model_dims(embed_config)
     params = init_parameters(dims, train_config.seed)
-    optimizer = Adam(dims, train_config.learning_rate, train_config.beta1,
-                     train_config.beta2, train_config.eps)
+    optimizer = Adam(dims, train_config.learning_rate)
     shuffle_rng = np.random.default_rng([train_config.seed, 1])
     dropout_rng = np.random.default_rng([train_config.seed, 2])
 

@@ -384,13 +384,17 @@ class TestFixtureProvider:
         assert result.before == ("b1.",)
         assert result.after == ("a1.",)
 
-    def test_strict_missing_raises(self):
-        provider = FixtureProvider(records=[], strict=True)
+    def test_strict_missing_raises(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(b"")
+        provider = FixtureProvider(path, strict=True)
         with pytest.raises(InferenceError, match="m1"):
             provider.generate(_mention(), "ctx", GenerationConfig())
 
-    def test_lenient_missing_warns_empty(self):
-        provider = FixtureProvider(records=[], strict=False)
+    def test_lenient_missing_warns_empty(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(b"")
+        provider = FixtureProvider(path, strict=False)
         with pytest.warns(UserWarning, match="m1"):
             result = provider.generate(_mention(), "ctx", GenerationConfig())
         assert result.before == () and result.after == ()

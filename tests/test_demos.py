@@ -20,3 +20,12 @@ def test_demo_exits_zero(name, tmp_path):
                             cwd=tmp_path, env=env, capture_output=True,
                             text=True, timeout=600)
     assert result.returncode == 0, result.stderr
+
+
+def test_desk_run_ini_loads():
+    """The shipped example config stays within the accepted keys."""
+    from cscoref.pipeline import load_run_config
+
+    config = load_run_config(ROOT / "demos" / "desk_run.ini")
+    assert config.train.mode == "intra"
+    assert set(config.commonsense.fixtures) == {"train", "dev", "test"}

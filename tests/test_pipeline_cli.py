@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from cscoref import cli, pipeline
 from cscoref.cluster import read_clustering, write_clustering
 from cscoref.corpus import Clustering, load_corpus
+from cscoref.commonsense import GenerationConfig
+from cscoref.metrics import EvalOptions
 from cscoref.pipeline import (ConfigError, load_run_config, mean_std,
                               preset)
 from cscoref.synthgen import SyntheticSpec, generate_synthetic
@@ -144,6 +147,119 @@ drop_singletons = false
         ini = tmp_path / "run.ini"
         ini.write_text(f"[eval]\ntopic_level = {word}\n", encoding="utf-8")
         assert load_run_config(ini).eval_options.topic_level is value
+
+    @pytest.mark.parametrize("text, named", [
+        ("[train]\nlearning_rat = 0.5\n", r"\[train\] learning_rat"),
+        ("[commonsense]\nfixture = f.jsonl\n", r"\[commonsense\] fixture"),
+        ("[eval]\ntopic = false\n", r"\[eval\] topic"),
+        ("[clusterr]\nthreshold = 0.7\n", r"\[clusterr\]"),
+        ("[DEFAULT]\nseed = 3\n[train]\nepochs = 2\n", r"\[DEFAULT\] seed"),
+        ("[train]\nepochs = 2\nepochs = 3\n", "'epochs'.*already exists"),
+    ], ids=["train-key", "commonsense-key", "eval-key", "section",
+            "default", "duplicate-key"])
+    def test_unknown_key_or_section_rejected(self, tmp_path, text, named):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=named):
+            load_run_config(ini)
+
+    def test_every_key(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("""
+[run]
+preset = service
+out = runs/every
+seeds = 7, 9,11
+
+[corpus]
+train = a/train.jsonl
+dev = a/dev.jsonl
+test = a/test.jsonl
+
+[embedder]
+provider = hash
+d = 12
+seed = 4
+endpoint = http://localhost:9/embed
+d_len = 6
+max_width_bucket = 5
+
+[commonsense]
+provider = synthetic
+endpoint = http://localhost:9/gen
+model_id = m7
+exemplars = ex.jsonl
+strict = false
+cache = c.jsonl
+fixtures = shared.jsonl
+fixtures_train = ftrain.jsonl
+fixtures_dev = fdev.jsonl
+top_p = 0.5
+max_tokens = 40
+stop = STOP
+k = 2
+prompt_mode = fewshot
+synthetic_n_topics = 3
+synthetic_clusters_per_topic = 5
+synthetic_mentions_per_cluster = 2
+synthetic_hard_fraction = 0.25
+synthetic_distractor_rate = 0.75
+synthetic_seed = 23
+
+[train]
+learning_rate = 0.02
+batch_size = 16
+dropout = 0.1
+epochs = 3
+patience = none
+seed = 8
+mode = inter
+d_a = 3
+hidden = 24
+pair_scope = topic
+
+[cluster]
+threshold = 0.35
+scope = topic
+
+[eval]
+topic_level = false
+drop_singletons = off
+unit = subtopic
+""", encoding="utf-8")
+        expected = pipeline.RunConfig(
+            corpus_paths={"train": "a/train.jsonl", "dev": "a/dev.jsonl",
+                          "test": "a/test.jsonl"},
+            embedder=pipeline.EmbedderConfig(
+                provider="hash", d=12, seed=4,
+                endpoint="http://localhost:9/embed", d_len=6,
+                max_width_bucket=5),
+            commonsense=pipeline.CommonsenseConfig(
+                provider="synthetic",
+                fixtures={"train": "ftrain.jsonl", "dev": "fdev.jsonl",
+                          "test": "shared.jsonl"},
+                synthetic_spec=SyntheticSpec(
+                    n_topics=3, clusters_per_topic=5,
+                    mentions_per_cluster=2, hard_fraction=0.25,
+                    distractor_rate=0.75, seed=23),
+                endpoint="http://localhost:9/gen", model_id="m7",
+                exemplars_path="ex.jsonl", strict=False,
+                cache_path="c.jsonl",
+                generation=GenerationConfig(top_p=0.5, max_tokens=40,
+                                            stop="STOP", k=2,
+                                            mode="fewshot")),
+            train=pipeline.TrainConfig(
+                learning_rate=0.02, batch_size=16, dropout=0.1, epochs=3,
+                patience=None, seed=8, mode="inter", d_a=3, hidden=24,
+                pair_scope="topic"),
+            threshold=0.35, cluster_scope="topic",
+            eval_options=EvalOptions(topic_level=False,
+                                     drop_singletons=False, unit="subtopic"),
+            out_dir="runs/every", seeds=(7, 9, 11))
+        config = load_run_config(ini)
+        for name in asdict(expected):
+            assert getattr(config, name) == getattr(expected, name), name
+        assert config == expected
 
     def test_fingerprint_stable(self):
         assert preset("desk").fingerprint() == preset("desk").fingerprint()
@@ -618,6 +734,17 @@ class TestScopeChecks:
         assert code == pipeline.EXIT_USAGE
         assert "broader than [train] pair_scope" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_unknown_key_exits_two_without_run_dir(tmp_path, capsys):
+    config, _ = small_run_config(tmp_path)
+    out = tmp_path / "train"
+    ini = cli_ini(tmp_path, config, out, "learning_rat = 0.5\n")
+    assert cli.main(["train", "--config", str(ini)]) == pipeline.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[train] learning_rat" in err
+    assert not out.exists()
 
 
 class TestThresholdCheck:

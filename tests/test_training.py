@@ -61,11 +61,14 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="provider"):
             build_dataset(small_corpus, EMB, "intra")
 
-    def test_all_empty_inference_sets_still_scorable(self, small_corpus):
+    def test_all_empty_inference_sets_still_scorable(self, small_corpus,
+                                                     tmp_path):
         from cscoref.commonsense import FixtureProvider
         from cscoref.scorer import ModelDims, init_parameters
 
-        provider = FixtureProvider(records=[], strict=False)
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(b"")
+        provider = FixtureProvider(path, strict=False)
         with pytest.warns(UserWarning):
             data = build_dataset(small_corpus, EMB, "intra",
                                  inference_source=provider)
@@ -81,7 +84,7 @@ class TestAdam:
     def test_reduces_quadratic(self):
         dims = ModelDims(d=2, d_len=2, d_a=1, h=2, mode="baseline")
         params = init_parameters(dims, 0)
-        opt = Adam(dims, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam(dims, lr=0.05)
         target = {n: np.zeros_like(a) for n, a in params.blocks().items()}
         for _ in range(300):
             grads = {n: 2 * (a - target[n])
