@@ -145,8 +145,10 @@ def main(argv=None) -> int:
                                         second.strip(), split=args.split,
                                         out_path=args.trace_out)
         if args.command == "gradcheck":
-            return pipeline.cmd_gradcheck(mode=args.mode,
-                                          seeds=parse_seeds(args.seed))
+            seeds = parse_seeds(args.seed)
+            if not seeds:
+                raise ConfigError(f"--seed {args.seed!r} names no seeds")
+            return pipeline.cmd_gradcheck(mode=args.mode, seeds=seeds)
         parser.error(f"unknown command {args.command!r}")
     except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -475,8 +475,8 @@ BULK_CONCURRENCY = 4
 def get_inferences_bulk(provider, corpus, config: GenerationConfig,
                         cache: Optional[InferenceCache] = None
                         ) -> dict[str, InferenceSet]:
-    """Fetch inference sets for every mention, deduplicating cache misses;
-    ``BULK_CONCURRENCY`` threads fetch the misses."""
+    """Every mention's inference set. Threads generate the cache misses; this
+    thread stores them in corpus order, so the cache bytes are reproducible."""
     from concurrent.futures import ThreadPoolExecutor
 
     mentions = corpus.mentions_in_order()
@@ -491,13 +491,12 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
         else:
             pending.append(m)
 
-    def fetch(m):
-        context = " ".join(corpus.sentence_of(m))
-        return m.mention_id, get_inferences(provider, m, context, config,
-                                            cache=cache)
+    def generate(m):
+        return provider.generate(m, " ".join(corpus.sentence_of(m)), config)
 
-    if pending:
-        with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
-            for mention_id, inf in pool.map(fetch, pending):
-                results[mention_id] = inf
+    with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
+        for m, inf in zip(pending, pool.map(generate, pending)):
+            if cache is not None:
+                inf = cache.put(m.doc_id, inf)
+            results[m.mention_id] = inf.truncated(config.k)
     return results

@@ -14,6 +14,11 @@ where ctx is the span vector [start, last, pooled, width_feature] and
 cs = [attended_before, attended_after] for the routed inference sets (the
 mention's own sets in intra mode, the other mention's in inter mode; the
 query is always the ctx the cs block is attached to).
+
+Training runs the first layer pair-major (``forward_batch``/
+``backward_batch``); scoring (``score_pairs``) projects it once per mention
+outside inter mode. Both share one span and attention stage,
+``attention_rows``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ BLOCK_ORDER = ("w_alpha", "width_table", "W_q_before", "W_k_before",
 CKPT_MAGIC = b"CSCOREF-CKPT-1\n"
 
 LOSS_EPS = 1e-7
+
+# pairs per hidden-layer block in score_pairs: a (64, h) block stays in
+# cache and reuses freed memory; a (pairs, h) array faults in fresh pages
+PAIR_BLOCK = 64
 
 
 class ScorerError(RuntimeError):
@@ -397,9 +406,10 @@ class PairDataset:
     inference sentence, whose text is ``sentences[row]``.
     ``before_idx``/``after_idx`` map each mention row to its (up to k)
     sentence rows, padded with -1. A pair's commonsense blocks depend only on
-    (query mention row, source mention row), so ``forward_batch`` attends
+    (query mention row, source mention row), so ``attention_rows`` attends
     once per distinct such pair in a batch: once per mention in intra mode,
-    once per ordered pair in inter mode.
+    once per ordered pair in inter mode. Scoring in the other modes projects
+    the first layer once per mention too; training multiplies it per pair.
     """
     mention_ids: list
     row_of: dict
@@ -418,64 +428,64 @@ class PairDataset:
         return len(self.labels)
 
 
+def attention_rows(params: ModelParameters, data: PairDataset,
+                   qi: np.ndarray, qj: np.ndarray) -> dict:
+    """Span reps and attention for pairs (qi, qj), once per attention row:
+    each distinct (query, source) among the 2n stacked mentions (c < n is
+    pair c's first, n + c its second), sorted. ``inverse[c]`` is stacked row
+    c's attention row, ``att_q`` each row's query, ``Q = span_reps[att_q]``
+    and ``cs`` the [before, after] vectors per row (None in baseline)."""
+    mode = params.dims.mode
+    span_reps, span_cache = span_reps_forward(
+        data.span_tensors, params.w_alpha, params.width_table)
+    q_rows = np.concatenate([qi, qj])
+    src_rows = np.concatenate([qj, qi]) if mode == "inter" else q_rows
+    m = len(data.span_tensors)
+    keys, inverse = np.unique(q_rows * m + src_rows, return_inverse=True)
+    att_q, att_src = np.divmod(keys, m)
+    Q = span_reps[att_q]
+    rows = {"span_cache": span_cache, "att_q": att_q, "inverse": inverse,
+            "Q": Q, "cs": None}
+    if mode == "baseline":
+        return rows
+    sent_reps, sent_cache = span_reps_forward(
+        data.sent_tensors, params.w_alpha, params.width_table)
+    att, outs = {}, []
+    for rel in ("before", "after"):
+        idx = getattr(data, f"{rel}_idx")[att_src]
+        kmask = idx >= 0
+        Kr = sent_reps[idx.clip(min=0)] * kmask[:, :, None]
+        out, att_cache = attention_forward(Q, Kr, kmask,
+                                           getattr(params, f"W_q_{rel}"),
+                                           getattr(params, f"W_k_{rel}"))
+        att[rel] = {"cache": att_cache, "idx": idx, "kmask": kmask}
+        outs.append(out)
+    rows.update({"cs": np.concatenate(outs, axis=1), "att": att,
+                 "sent_cache": sent_cache})
+    return rows
+
+
 def forward_batch(params: ModelParameters, data: PairDataset,
                   sel: np.ndarray, training: bool = False,
                   dropout_mask: Optional[np.ndarray] = None,
                   dropout: float = 0.3):
-    """End-to-end probabilities for the selected pairs.
+    """End-to-end probabilities for the selected pairs, pair-major: each
+    pair's g is gathered from ``attention_rows`` and multiplied by W1.
 
     When ``training`` is set the caller supplies the hidden-layer dropout
     mask so that a loss evaluation and its gradient share the same mask.
-
-    In the non-baseline modes the 2n cs rows (row c < n is pair c's first
-    mention, row n + c its second) are gathered from attention rows sorted
-    by (query row, source row): the cache's ``att_q`` holds each attention
-    row's query mention, ``att[rel]["idx"]`` its routed sentence rows, and
-    ``inverse[c]`` the attention row of cs row c.
     """
-    dims = params.dims
-    mode = dims.mode
-    span_reps, span_cache = span_reps_forward(
-        data.span_tensors, params.w_alpha, params.width_table)
     qi = data.pair_i[sel]
     qj = data.pair_j[sel]
     n = len(sel)
-    cache = {"span_cache": span_cache, "qi": qi, "qj": qj, "mode": mode,
-             "dropout_mask": dropout_mask, "training": training,
-             "dropout": dropout}
-
-    if mode == "baseline":
-        G = np.concatenate([span_reps[qi], span_reps[qj]], axis=1)
-        cache["sent_cache"] = None
-    else:
-        sent_reps, sent_cache = span_reps_forward(
-            data.sent_tensors, params.w_alpha, params.width_table)
-        q_rows = np.concatenate([qi, qj])
-        src_rows = q_rows if mode == "intra" else np.concatenate([qj, qi])
-        # cs row c attends with query q_rows[c] over src_rows[c]'s sets;
-        # run each distinct (query, source) pair once and gather back
-        m = len(data.span_tensors)
-        keys, inverse = np.unique(q_rows * m + src_rows, return_inverse=True)
-        att_q, att_src = np.divmod(keys, m)
-        Q = span_reps[att_q]
-        att = {}
-        cs_parts = []
-        for rel, (W_q, W_k) in (("before", (params.W_q_before,
-                                            params.W_k_before)),
-                                ("after", (params.W_q_after,
-                                           params.W_k_after))):
-            idx = (data.before_idx if rel == "before"
-                   else data.after_idx)[att_src]
-            kmask = idx >= 0
-            Kr = sent_reps[idx.clip(min=0)] * kmask[:, :, None]
-            out, att_cache = attention_forward(Q, Kr, kmask, W_q, W_k)
-            att[rel] = {"cache": att_cache, "idx": idx, "kmask": kmask}
-            cs_parts.append(out)
-        cs = np.concatenate(cs_parts, axis=1)[inverse]  # (2n, 2R)
-        G = np.concatenate([span_reps[qi], span_reps[qj],
-                            cs[:n], cs[n:]], axis=1)
-        cache.update({"sent_cache": sent_cache, "att": att, "att_q": att_q,
-                      "inverse": inverse, "n_sent": len(data.sent_tensors)})
+    cache = attention_rows(params, data, qi, qj)
+    cache.update({"qi": qi, "qj": qj, "dropout_mask": dropout_mask,
+                  "training": training, "dropout": dropout})
+    Q, cs, inverse = cache["Q"], cache["cs"], cache["inverse"]
+    blocks = [Q[inverse[:n]], Q[inverse[n:]]]
+    if cs is not None:
+        blocks += [cs[inverse[:n]], cs[inverse[n:]]]
+    G = np.concatenate(blocks, axis=1)
 
     z1 = G @ params.W1 + params.b1
     hidden = np.maximum(z1, 0.0)
@@ -488,8 +498,36 @@ def forward_batch(params: ModelParameters, data: PairDataset,
     logits = hidden_used @ params.W2 + params.b2
     probs = sigmoid(logits)
     cache.update({"G": G, "z1": z1, "hidden_used": hidden_used,
-                  "probs": probs, "n_mentions": len(data.span_tensors)})
+                  "probs": probs})
     return probs, cache
+
+
+def score_pairs(params: ModelParameters, data: PairDataset,
+                sel: np.ndarray) -> np.ndarray:
+    """``forward_batch(training=False)``'s probabilities, up to rounding.
+
+    g @ W1 splits by W1's row blocks into a term of the pair's first
+    attention row and one of its second; each is projected once per row
+    and gathered per pair. Outside inter mode a row is a mention, shared by
+    all its pairs; an inter row serves one pair, doubling the flops.
+    """
+    r = params.dims.rep_dim
+    n = len(sel)
+    rows = attention_rows(params, data, data.pair_i[sel], data.pair_j[sel])
+    Q, cs, inverse = rows["Q"], rows["cs"], rows["inverse"]
+    W1 = params.W1
+    first = Q @ W1[:r] + params.b1
+    second = Q @ W1[r:2 * r]
+    if cs is not None:
+        first += cs @ W1[2 * r:4 * r]
+        second += cs @ W1[4 * r:6 * r]
+    logits = np.empty(n)
+    for lo in range(0, n, PAIR_BLOCK):
+        hi = min(lo + PAIR_BLOCK, n)
+        z1 = first[inverse[lo:hi]]
+        z1 += second[inverse[n + lo:n + hi]]
+        logits[lo:hi] = np.maximum(z1, 0.0, out=z1) @ params.W2
+    return sigmoid(logits + params.b2)
 
 
 def backward_batch(params: ModelParameters, data: PairDataset, cache,
@@ -517,7 +555,7 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
 
     r = dims.rep_dim
     qi, qj = cache["qi"], cache["qj"]
-    d_span = np.zeros((cache["n_mentions"], r))
+    d_span = np.zeros((len(data.span_tensors), r))
     np.add.at(d_span, qi, d_G[:, :r])
     np.add.at(d_span, qj, d_G[:, r:2 * r])
 
@@ -527,7 +565,7 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
         np.add.at(d_cs, cache["inverse"],
                   np.concatenate([d_G[:, 2 * r:4 * r], d_G[:, 4 * r:6 * r]],
                                  axis=0))
-        d_sent = np.zeros((cache["n_sent"], r))
+        d_sent = np.zeros((len(data.sent_tensors), r))
         d_Q_total = np.zeros((len(att_q), r))
         for part, rel in ((0, "before"), (1, "after")):
             att = cache["att"][rel]
@@ -592,7 +630,7 @@ def save_checkpoint(params: ModelParameters, path):
             meta = {"name": name, "shape": list(arr.shape)}
             fh.write((json.dumps(meta, sort_keys=True) + "\n")
                      .encode("utf-8"))
-            fh.write(arr.tobytes())
+            fh.write(arr)  # from the array's own buffer, no copy
 
 
 def load_checkpoint(path) -> ModelParameters:
@@ -610,6 +648,7 @@ def load_checkpoint(path) -> ModelParameters:
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
                 TypeError) as exc:
             raise ScorerError(f"{path}: corrupt checkpoint header") from exc
+        wanted = _expected_shapes(dims)
         arrays = {}
         for name in BLOCK_ORDER:
             line = fh.readline().decode("utf-8")
@@ -624,17 +663,12 @@ def load_checkpoint(path) -> ModelParameters:
                     f"checkpoint block order mismatch: expected {name}, "
                     f"found {meta['name']}")
             shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            if shape != wanted[name]:
+                raise ScorerError(
+                    f"checkpoint block {name} has shape {shape}, expected "
+                    f"{wanted[name]}")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:  # straight into the array
                 raise ScorerError(f"checkpoint truncated in block {name}")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-            arrays[name] = arr if shape else arr.reshape(())
-        params = ModelParameters(dims, **arrays)
-    wanted = _expected_shapes(dims)
-    for name, arr in params.blocks().items():
-        if tuple(arr.shape) != wanted[name]:
-            raise ScorerError(
-                f"checkpoint block {name} has shape {arr.shape}, expected "
-                f"{wanted[name]}")
-    return params
+            arrays[name] = arr
+    return ModelParameters(dims, **arrays)

@@ -16,7 +16,8 @@ from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, evaluate
 from .scorer import (ModelDims, ModelParameters, PairDataset,
                      SpanTensors, backward_batch, bce_loss,
-                     forward_batch, init_parameters, zero_gradients)
+                     forward_batch, init_parameters, score_pairs,
+                     zero_gradients)
 
 
 @dataclass
@@ -144,9 +145,13 @@ class Adam:
 
 def score_dataset(params: ModelParameters, data: PairDataset,
                   chunk: int = 1024) -> np.ndarray:
-    """Deterministic probabilities for every pair in the dataset."""
+    """Deterministic probabilities for every pair in the dataset: one
+    ``score_pairs`` call, or pair-major ``chunk``s in inter mode, where
+    ``score_pairs`` shares no projection between pairs."""
     if data.n_pairs == 0:
         return np.zeros(0)
+    if params.dims.mode != "inter":
+        return score_pairs(params, data, np.arange(data.n_pairs))
     out = np.zeros(data.n_pairs)
     for lo in range(0, data.n_pairs, chunk):
         sel = np.arange(lo, min(lo + chunk, data.n_pairs))

@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 import threading
+import time
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -515,6 +517,37 @@ class TestBulk:
         again = get_inferences_bulk(provider, tiny_corpus, config, cache)
         assert provider.calls == 3
         assert results.keys() == again.keys()
+
+    def test_cache_bytes_independent_of_completion_order(self, tmp_path):
+        from cscoref.corpus import Corpus, Document
+
+        class SleepingProvider(CountingProvider):
+            """Generations finish in an order drawn from ``seed``."""
+            def __init__(self, seed):
+                super().__init__()
+                self.seed = seed
+
+            def generate(self, mention, context, config):
+                time.sleep(random.Random(f"{self.seed}:{mention.mention_id}")
+                           .uniform(0.0, 0.02))
+                return InferenceSet(mention.mention_id,
+                                    (f"{mention.mention_id} before.",),
+                                    (f"{mention.mention_id} after.",),
+                                    "fixture")
+
+        doc = Document("d1", "t0", "t0_s0",
+                       [["w", str(i), "."] for i in range(16)])
+        corpus = Corpus([doc], [Mention(f"m{i:02d}", "d1", i, 1, 1, str(i))
+                                for i in range(16)])
+        blobs = []
+        for seed in (0, 1):
+            path = tmp_path / f"cache{seed}.jsonl"
+            results = get_inferences_bulk(SleepingProvider(seed), corpus,
+                                          GenerationConfig(),
+                                          InferenceCache(path))
+            assert list(results) == [f"m{i:02d}" for i in range(16)]
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestServiceBackedDataset:

@@ -610,6 +610,14 @@ class TestGradcheckCommand:
         pipeline.cmd_gradcheck(mode="baseline", seeds=(1,), **self.SMALL)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("seeds", [",", " , "])
+    def test_empty_seed_list_rejected(self, capsys, seeds):
+        code = cli.main(["gradcheck", "--seed", seeds])
+        captured = capsys.readouterr()
+        assert code == pipeline.EXIT_USAGE
+        assert "PASS" not in captured.out
+        assert "--seed" in captured.err
+
 
 def cli_ini(tmp_path, config, out, extra=""):
     """An INI for ``config``'s corpus and fixtures; ``extra`` is appended

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from cscoref.scorer import (ModelDims, NonFiniteParameterError,
+from cscoref.scorer import (ModelDims, NonFiniteParameterError, ScorerError,
                             attend, batch_loss, batch_loss_from_dataset,
                             commonsense_vector, forward_batch, gradients,
                             init_parameters, load_checkpoint, pair_features,
@@ -440,6 +442,46 @@ class TestCheckpoint:
         path.write_bytes(data[:-16])
         with pytest.raises(Exception, match="truncated"):
             load_checkpoint(path)
+
+    def test_cut_inside_W1_rejected(self, tmp_path, params):
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        data = path.read_bytes()
+        w1_end = data.index(b'{"name": "b1"')
+        path.write_bytes(data[:w1_end - params.W1.nbytes // 2])
+        with pytest.raises(ScorerError, match="truncated in block W1"):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_own_writable_contiguous_data(self, tmp_path,
+                                                        params):
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        for name, arr in loaded.blocks().items():
+            assert arr.flags.writeable and arr.flags.c_contiguous, name
+            assert arr.flags.owndata, name
+            assert arr.dtype == np.float64, name
+        assert loaded.b2.shape == ()
+
+    # sha256 of the checkpoint of init_parameters(SMALL_DIMS(mode), 7), as
+    # written by the tobytes() writer this one replaced
+    SMALL_DIMS = dict(d=3, d_len=2, d_a=2, h=4, max_width_bucket=3)
+    PINNED_SHA256 = {
+        "baseline": "b7723a6f7743304f6fd431128c58fb96"
+                    "685b93774d0c98f6c494593f62763c5b",
+        "intra": "44ec2955221cb9722019bfab242f48de"
+                 "2eaf0d5e339b97a528c671e7f7f2d78e",
+        "inter": "a937e1988f3c4dd786e9ee080f2950f3"
+                 "ee0cb189f5e0472af9f79882913e59db",
+    }
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_pinned_bytes(self, tmp_path, mode):
+        params = init_parameters(ModelDims(mode=mode, **self.SMALL_DIMS), 7)
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256[mode]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "garbage.bin"

@@ -4,7 +4,9 @@ import pytest
 from cscoref.commonsense import GenerationConfig
 from cscoref.corpus import Corpus, Document, Mention
 from cscoref.embed import EmbedderConfig
-from cscoref.scorer import ModelDims, init_parameters, save_checkpoint
+from cscoref.pipeline import DESK_SPLIT_SPECS, preset
+from cscoref.scorer import (ModelDims, forward_batch, init_parameters,
+                            save_checkpoint, score_pairs)
 from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
 from cscoref import training
@@ -337,3 +339,58 @@ class TestScoreDataset:
         full = score_dataset(params, data, chunk=1024)
         tiny = score_dataset(params, data, chunk=3)
         np.testing.assert_allclose(full, tiny, atol=1e-15)
+
+
+MODES = ("baseline", "intra", "inter")
+
+
+def assert_scores_match_forward_batch(data, dims, chunks=(1024, 3)):
+    """score_pairs and score_dataset (at each chunk size) equal the
+    pair-major forward_batch at evaluation, for two seeds."""
+    sel = np.arange(data.n_pairs)
+    for seed in (0, 1):
+        params = init_parameters(dims, seed)
+        params.W_q_before *= 50.0  # peaked attention, unequal weights
+        params.W_q_after *= 50.0
+        want, _ = forward_batch(params, data, sel, training=False)
+        np.testing.assert_allclose(score_pairs(params, data, sel), want,
+                                   rtol=1e-12, atol=0)
+        for chunk in chunks:
+            got = score_dataset(params, data, chunk=chunk)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestScoreDatasetMatchesForwardBatch:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_dataset(self, mode):
+        dims = ModelDims(d=6, d_len=4, d_a=3, h=16, mode=mode)
+        data = make_random_dataset(dims, 5, n_mentions=9, n_pairs=30)
+        assert_scores_match_forward_batch(data, dims)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_desk_dev_split(self, mode):
+        config = preset("desk")
+        spec = DESK_SPLIT_SPECS["dev"]
+        corpus = generate_synthetic(spec)[0]
+        data = build_dataset(corpus, config.embedder, mode,
+                             inference_source=SyntheticProvider(spec))
+        dims = ModelDims(d=config.embedder.d, d_len=config.embedder.d_len,
+                         d_a=8, h=32, mode=mode,
+                         max_width_bucket=config.embedder.max_width_bucket)
+        assert data.n_pairs > 3
+        assert_scores_match_forward_batch(data, dims)
+
+    @pytest.mark.parametrize("mode", ("intra", "inter"))
+    def test_all_inference_sets_empty(self, mode, small_corpus, tmp_path):
+        from cscoref.commonsense import FixtureProvider
+
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(b"")
+        with pytest.warns(UserWarning):
+            data = build_dataset(small_corpus, EMB, mode,
+                                 inference_source=FixtureProvider(
+                                     path, strict=False))
+        assert len(data.sent_tensors) == 1  # the dummy sentence row
+        dims = ModelDims(d=8, d_len=4, d_a=2, h=8, mode=mode,
+                         max_width_bucket=4)
+        assert_scores_match_forward_batch(data, dims)
