@@ -19,11 +19,17 @@ Training runs the first layer pair-major (``forward_batch``/
 ``backward_batch``); scoring (``score_pairs``) projects it once per mention
 outside inter mode. Both share one span and attention stage,
 ``attention_rows``.
+
+``ModelParameters`` holds every block as a view into one contiguous
+float64 vector in BLOCK_ORDER, and gradients use the same container: the
+backward pass overwrites a gradient vector that the training loop owns,
+and the optimizer, snapshots and the gradcheck each walk one vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +47,7 @@ LOSS_EPS = 1e-7
 # pairs per hidden-layer block in score_pairs: a (64, h) block stays in
 # cache and reuses freed memory; a (pairs, h) array faults in fresh pages
 PAIR_BLOCK = 64
+INIT_PIECE = 1 << 15  # doubles drawn and scaled at a time (256 KB)
 
 
 class ScorerError(RuntimeError):
@@ -77,26 +84,34 @@ class ModelDims:
         return factor * self.rep_dim
 
 
-@dataclass
 class ModelParameters:
-    dims: ModelDims
-    w_alpha: np.ndarray
-    width_table: np.ndarray
-    W_q_before: np.ndarray
-    W_k_before: np.ndarray
-    W_q_after: np.ndarray
-    W_k_after: np.ndarray
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+    """Named views into one float64 vector ``flat``, blocks in BLOCK_ORDER;
+    ``slices[name]`` is a block's span in it. Gradients share the layout."""
+
+    def __init__(self, dims: ModelDims, flat: Optional[np.ndarray] = None):
+        self.dims = dims
+        self.slices, size = {}, 0
+        for name, shape in _expected_shapes(dims).items():
+            self.slices[name] = slice(size, size + math.prod(shape))
+            size += math.prod(shape)
+        self.flat = np.zeros(size) if flat is None else flat
+        for name, shape in _expected_shapes(dims).items():
+            setattr(self, name, self.flat[self.slices[name]].reshape(shape))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return getattr(self, name)
+
+    def __setitem__(self, name: str, value):
+        getattr(self, name)[...] = value  # into the view: the layout holds
 
     def blocks(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in BLOCK_ORDER}
 
+    def items(self):
+        return self.blocks().items()
+
     def copy(self) -> "ModelParameters":
-        return ModelParameters(self.dims, **{n: a.copy()
-                                             for n, a in self.blocks().items()})
+        return ModelParameters(self.dims, self.flat.copy())
 
 
 def _expected_shapes(dims: ModelDims) -> dict[str, tuple]:
@@ -130,19 +145,19 @@ _FAN_IN = {
 
 
 def init_parameters(dims: ModelDims, seed: int) -> ModelParameters:
-    """Seeded initialization: every block uniform in +-1/sqrt(fan_in)."""
+    """Seeded initialization: every block uniform in +-1/sqrt(fan_in),
+    drawn straight into the vector with rng.uniform's stream and bits, in
+    pieces small enough that the two scaling passes stay in cache."""
     rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in _expected_shapes(dims).items():
+    params = ModelParameters(dims)
+    for name, span in params.slices.items():
         bound = 1.0 / np.sqrt(_FAN_IN[name](dims))
-        arrays[name] = np.asarray(rng.uniform(-bound, bound, size=shape),
-                                  dtype=np.float64)
-    return ModelParameters(dims, **arrays)
-
-
-def zero_gradients(dims: ModelDims) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape)
-            for name, shape in _expected_shapes(dims).items()}
+        for lo in range(span.start, span.stop, INIT_PIECE):
+            piece = params.flat[lo:min(lo + INIT_PIECE, span.stop)]
+            rng.random(out=piece)
+            piece *= 2 * bound
+            piece -= bound
+    return params
 
 
 def sigmoid(z):
@@ -344,19 +359,28 @@ def span_reps_forward(tensors: SpanTensors, w_alpha: np.ndarray,
     return reps, {"alpha": alpha, "tensors": tensors}
 
 
-def span_reps_backward(d_reps: np.ndarray, cache, d: int,
-                       grads: dict[str, np.ndarray]):
-    """Accumulate w_alpha and width_table gradients; token grads discarded."""
+def span_reps_backward(d_reps: np.ndarray, cache, d: int) -> np.ndarray:
+    """The w_alpha gradient; token grads are discarded. The width rows
+    ``d_reps[:, 3d:]`` are left to the caller, which sums every width-table
+    row of a step in one ``segment_sum``."""
     tensors = cache["tensors"]
     alpha = cache["alpha"]
     X = tensors.X
     d_pooled = d_reps[:, 2 * d:3 * d]
-    d_width = d_reps[:, 3 * d:]
-    np.add.at(grads["width_table"], tensors.buckets, d_width)
     d_alpha = np.einsum("nd,ntd->nt", d_pooled, X)
     inner = (alpha * d_alpha).sum(axis=1, keepdims=True)
     d_score = alpha * (d_alpha - inner)
-    grads["w_alpha"] += np.einsum("nt,ntd->d", d_score, X)
+    return np.einsum("nt,ntd->d", d_score, X)
+
+
+def segment_sum(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, width) sums of ``rows`` grouped by ``index``. Every bin adds its
+    rows in input order from 0.0, so the result is bit-equal to np.add.at
+    onto zeros, which visits them in the same order, only faster."""
+    width = rows.shape[1]
+    bins = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(bins, weights=rows.ravel(),
+                       minlength=n * width).reshape(n, width)
 
 
 def attention_forward(Q: np.ndarray, Kr: np.ndarray, kmask: np.ndarray,
@@ -487,18 +511,17 @@ def forward_batch(params: ModelParameters, data: PairDataset,
         blocks += [cs[inverse[:n]], cs[inverse[n:]]]
     G = np.concatenate(blocks, axis=1)
 
-    z1 = G @ params.W1 + params.b1
+    z1 = G @ params.W1
+    z1 += params.b1
     hidden = np.maximum(z1, 0.0)
     if training:
         if dropout_mask is None:
             raise ValueError("training forward requires a dropout mask")
-        hidden_used = hidden * dropout_mask / (1.0 - dropout)
-    else:
-        hidden_used = hidden
-    logits = hidden_used @ params.W2 + params.b2
+        hidden *= dropout_mask
+        hidden /= 1.0 - dropout
+    logits = hidden @ params.W2 + params.b2
     probs = sigmoid(logits)
-    cache.update({"G": G, "z1": z1, "hidden_used": hidden_used,
-                  "probs": probs})
+    cache.update({"G": G, "z1": z1, "hidden_used": hidden, "probs": probs})
     return probs, cache
 
 
@@ -531,57 +554,72 @@ def score_pairs(params: ModelParameters, data: PairDataset,
 
 
 def backward_batch(params: ModelParameters, data: PairDataset, cache,
-                   labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean clamped BCE for the forward in ``cache``."""
+                   labels: np.ndarray,
+                   grads: Optional[ModelParameters] = None
+                   ) -> ModelParameters:
+    """Exact gradients of the mean clamped BCE for the forward in ``cache``.
+
+    They overwrite ``grads`` (a fresh container when None), which a
+    training loop passes back on every step, and return it. Each gathered
+    row gradient is one ``segment_sum`` over the forward's gathers in order.
+    """
     dims = params.dims
-    grads = zero_gradients(dims)
+    grads = ModelParameters(dims) if grads is None else grads
+    w1 = grads.slices["W1"]
+    grads.flat[:w1.start] = 0.0  # W1's own gradient is written, not added
+    grads.flat[w1.stop:] = 0.0
     probs = cache["probs"]
     y = np.asarray(labels, dtype=np.float64)
     n = len(y)
     in_range = (probs > LOSS_EPS) & (probs < 1.0 - LOSS_EPS)
     d_logits = np.where(in_range, probs - y, 0.0) / n
 
-    hidden_used = cache["hidden_used"]
-    grads["W2"] += hidden_used.T @ d_logits
-    grads["b2"] += d_logits.sum()
-    d_hidden = np.outer(d_logits, params.W2)
+    grads.W2 += cache["hidden_used"].T @ d_logits
+    grads.b2 += d_logits.sum()
+    d_z1 = np.outer(d_logits, params.W2)
     if cache["training"]:
-        d_hidden = d_hidden * cache["dropout_mask"] / (1.0 - cache["dropout"])
-    d_z1 = d_hidden * (cache["z1"] > 0)
-    G = cache["G"]
-    grads["W1"] += G.T @ d_z1
-    grads["b1"] += d_z1.sum(axis=0)
+        d_z1 *= cache["dropout_mask"]
+        d_z1 /= 1.0 - cache["dropout"]
+    d_z1 *= cache["z1"] > 0
+    np.matmul(cache["G"].T, d_z1, out=grads.W1)
+    grads.b1 += d_z1.sum(axis=0)
     d_G = d_z1 @ params.W1.T
 
     r = dims.rep_dim
-    qi, qj = cache["qi"], cache["qj"]
-    d_span = np.zeros((len(data.span_tensors), r))
-    np.add.at(d_span, qi, d_G[:, :r])
-    np.add.at(d_span, qj, d_G[:, r:2 * r])
-
+    span_index = [cache["qi"], cache["qj"]]
+    span_rows = [d_G[:, :r], d_G[:, r:2 * r]]
+    reps = []  # (row gradients, span cache): sentences first, then spans
     if dims.mode != "baseline":
         att_q = cache["att_q"]
-        d_cs = np.zeros((len(att_q), 2 * r))  # summed onto attention rows
-        np.add.at(d_cs, cache["inverse"],
-                  np.concatenate([d_G[:, 2 * r:4 * r], d_G[:, 4 * r:6 * r]],
-                                 axis=0))
-        d_sent = np.zeros((len(data.sent_tensors), r))
+        d_cs = segment_sum(cache["inverse"],  # summed onto attention rows
+                           np.concatenate([d_G[:, 2 * r:4 * r],
+                                           d_G[:, 4 * r:6 * r]]), len(att_q))
         d_Q_total = np.zeros((len(att_q), r))
+        sent_index, sent_rows = [], []
         for part, rel in ((0, "before"), (1, "after")):
             att = cache["att"][rel]
-            W_q = getattr(params, f"W_q_{rel}")
-            W_k = getattr(params, f"W_k_{rel}")
-            d_out = d_cs[:, part * r:(part + 1) * r]
             d_Q, d_Kr = attention_backward(
-                d_out, att["cache"], W_q, W_k,
+                d_cs[:, part * r:(part + 1) * r], att["cache"],
+                getattr(params, f"W_q_{rel}"), getattr(params, f"W_k_{rel}"),
                 grads[f"W_q_{rel}"], grads[f"W_k_{rel}"])
             d_Q_total += d_Q
-            kmask = att["kmask"]
-            np.add.at(d_sent, att["idx"][kmask], d_Kr[kmask])
-        np.add.at(d_span, att_q, d_Q_total)
-        span_reps_backward(d_sent, cache["sent_cache"], dims.d, grads)
-
-    span_reps_backward(d_span, cache["span_cache"], dims.d, grads)
+            sent_index.append(att["idx"][att["kmask"]])
+            sent_rows.append(d_Kr[att["kmask"]])
+        span_index.append(att_q)
+        span_rows.append(d_Q_total)
+        reps.append((segment_sum(np.concatenate(sent_index),
+                                 np.concatenate(sent_rows),
+                                 len(data.sent_tensors)),
+                     cache["sent_cache"]))
+    reps.append((segment_sum(np.concatenate(span_index),
+                             np.concatenate(span_rows),
+                             len(data.span_tensors)), cache["span_cache"]))
+    for d_reps, rep_cache in reps:
+        grads.w_alpha += span_reps_backward(d_reps, rep_cache, dims.d)
+    grads.width_table[...] = segment_sum(
+        np.concatenate([c["tensors"].buckets for _, c in reps]),
+        np.concatenate([d_reps[:, 3 * dims.d:] for d_reps, _ in reps]),
+        dims.max_width_bucket)
     return grads
 
 
@@ -648,9 +686,8 @@ def load_checkpoint(path) -> ModelParameters:
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
                 TypeError) as exc:
             raise ScorerError(f"{path}: corrupt checkpoint header") from exc
-        wanted = _expected_shapes(dims)
-        arrays = {}
-        for name in BLOCK_ORDER:
+        params = ModelParameters(dims)
+        for name, arr in params.items():
             line = fh.readline().decode("utf-8")
             try:
                 meta = json.loads(line)
@@ -663,12 +700,10 @@ def load_checkpoint(path) -> ModelParameters:
                     f"checkpoint block order mismatch: expected {name}, "
                     f"found {meta['name']}")
             shape = tuple(meta["shape"])
-            if shape != wanted[name]:
+            if shape != arr.shape:
                 raise ScorerError(
                     f"checkpoint block {name} has shape {shape}, expected "
-                    f"{wanted[name]}")
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:  # straight into the array
+                    f"{arr.shape}")
+            if fh.readinto(arr) != arr.nbytes:  # straight into the view
                 raise ScorerError(f"checkpoint truncated in block {name}")
-            arrays[name] = arr
-    return ModelParameters(dims, **arrays)
+    return params

@@ -14,10 +14,9 @@ from .commonsense import GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, evaluate
-from .scorer import (ModelDims, ModelParameters, PairDataset,
+from .scorer import (BLOCK_ORDER, ModelDims, ModelParameters, PairDataset,
                      SpanTensors, backward_batch, bce_loss,
-                     forward_batch, init_parameters, score_pairs,
-                     zero_gradients)
+                     forward_batch, init_parameters, score_pairs)
 
 
 @dataclass
@@ -115,7 +114,8 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
 
 
 class Adam:
-    """Adaptive-moment updates over the named parameter blocks."""
+    """Adaptive-moment updates over the flat parameter vector: one pass per
+    operation, into moment and scratch vectors allocated once."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -124,23 +124,23 @@ class Adam:
     def __init__(self, dims: ModelDims, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = zero_gradients(dims)
-        self.v = zero_gradients(dims)
+        size = ModelParameters(dims).flat.size
+        self.m, self.v, self._a, self._b = (np.zeros(size) for _ in range(4))
 
-    def step(self, params: ModelParameters, grads: dict):
+    def step(self, params: ModelParameters, grads: ModelParameters):
         self.t += 1
         bias1 = 1.0 - self.BETA1 ** self.t
         bias2 = 1.0 - self.BETA2 ** self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * np.square(g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
-            arr = getattr(params, name)
-            arr -= self.lr * update
+        g, m, v, a, b = grads.flat, self.m, self.v, self._a, self._b
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, g, out=a)
+        v *= self.BETA2
+        v += np.multiply(1.0 - self.BETA2, np.square(g, out=a), out=a)
+        # update = (m / bias1) / (sqrt(v / bias2) + eps), then lr * update
+        np.sqrt(np.divide(v, bias2, out=b), out=b)
+        b += self.EPS
+        np.divide(np.divide(m, bias1, out=a), b, out=a)
+        params.flat -= np.multiply(self.lr, a, out=a)
 
 
 def score_dataset(params: ModelParameters, data: PairDataset,
@@ -193,6 +193,11 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     optimizer = Adam(dims, train_config.learning_rate)
     shuffle_rng = np.random.default_rng([train_config.seed, 1])
     dropout_rng = np.random.default_rng([train_config.seed, 2])
+    # one step's buffers, reused by every step: the gradient vector and the
+    # dropout draws and mask (a short last batch uses their leading rows)
+    grads = ModelParameters(dims)
+    draws = np.empty((train_config.batch_size, dims.h))
+    keep = np.empty(draws.shape, dtype=bool)
 
     history = []
     best_f1 = -1.0
@@ -204,8 +209,9 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
         losses = []
         for lo in range(0, data.n_pairs, train_config.batch_size):
             sel = order[lo:lo + train_config.batch_size]
-            mask = (dropout_rng.random((len(sel), dims.h))
-                    >= train_config.dropout)
+            mask = np.greater_equal(dropout_rng.random(out=draws[:len(sel)]),
+                                    train_config.dropout,
+                                    out=keep[:len(sel)])
             probs, fw_cache = forward_batch(
                 params, data, sel, training=True, dropout_mask=mask,
                 dropout=train_config.dropout)
@@ -213,7 +219,7 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}")
-            grads = backward_batch(params, data, fw_cache, data.labels[sel])
+            backward_batch(params, data, fw_cache, data.labels[sel], grads)
             optimizer.step(params, grads)
             losses.append(loss)
         dev_probs = score_dataset(params, dev_data)
@@ -414,7 +420,7 @@ def finite_difference_check(params: ModelParameters, data: PairDataset,
     _, grads = exact_gradients(params, data, sel, training=training,
                                dropout_mask=mask, dropout=dropout)
     if _corrupt_block is not None:
-        grads[_corrupt_block] = grads[_corrupt_block] + 1e-3
+        grads[_corrupt_block] += 1e-3
 
     def loss_and_region():
         probs, cache = forward_batch(params, data, sel, training=training,
@@ -425,27 +431,24 @@ def finite_difference_check(params: ModelParameters, data: PairDataset,
                    & (probs < 1.0 - LOSS_EPS)).tobytes())
         return loss, region
 
-    errors = {}
-    skipped = {}
-    for name, arr in params.blocks().items():
-        flat = arr.reshape(-1)
-        grad_flat = np.asarray(grads[name]).reshape(-1)
-        worst = 0.0
-        n_skipped = 0
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up, region_up = loss_and_region()
-            flat[idx] = orig - step
-            down, region_down = loss_and_region()
-            flat[idx] = orig
-            if region_up != region_down:
-                n_skipped += 1
-                continue
-            numeric = (up - down) / (2 * step)
-            worst = max(worst, relative_error(grad_flat[idx], numeric))
-        errors[name] = worst
-        skipped[name] = n_skipped
+    errors = dict.fromkeys(BLOCK_ORDER, 0.0)
+    skipped = dict.fromkeys(BLOCK_ORDER, 0)
+    flat = params.flat
+    block_of = [name for name, span in params.slices.items()
+                for _ in range(span.start, span.stop)]
+    for idx, name in enumerate(block_of):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        up, region_up = loss_and_region()
+        flat[idx] = orig - step
+        down, region_down = loss_and_region()
+        flat[idx] = orig
+        if region_up != region_down:
+            skipped[name] += 1
+            continue
+        numeric = (up - down) / (2 * step)
+        errors[name] = max(errors[name],
+                           relative_error(grads.flat[idx], numeric))
     return errors, skipped
 
 

@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cscoref.scorer import (ModelDims, NonFiniteParameterError, ScorerError,
-                            attend, batch_loss, batch_loss_from_dataset,
-                            commonsense_vector, forward_batch, gradients,
-                            init_parameters, load_checkpoint, pair_features,
-                            save_checkpoint, score_pair)
+from cscoref.scorer import (BLOCK_ORDER, ModelDims, NonFiniteParameterError,
+                            ScorerError, attend, batch_loss,
+                            batch_loss_from_dataset, commonsense_vector,
+                            forward_batch, gradients, init_parameters,
+                            load_checkpoint, pair_features, save_checkpoint,
+                            score_pair, segment_sum)
 from cscoref.training import make_random_dataset
 
 
@@ -256,6 +258,31 @@ class TestGradients:
         for name, g in single.items():
             np.testing.assert_allclose(double[name], g, atol=1e-12)
 
+    # sha256 of every gradient block in BLOCK_ORDER on a random dataset
+    # whose span and sentence rows share rows and width buckets, as computed
+    # by the per-block backward with np.add.at
+    PINNED_GRADIENTS = {
+        "baseline": "0e1158140642dc94cc51b9932c5ee5d6"
+                    "de4de285f0ad076106c00ab8284e0516",
+        "intra": "68f818ddac1881bfcbb6374bd785806f"
+                 "8de6434e75a4f1d9032c8a147a0bed21",
+        "inter": "ab41aaeec168433cb8383871049dfdf0"
+                 "881160df5d271241a00b6966107076ec",
+    }
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_pinned_gradient_bytes(self, mode):
+        dims = ModelDims(d=4, d_len=3, d_a=2, h=6, mode=mode)
+        params = init_parameters(dims, 0)
+        data = make_random_dataset(dims, 5, n_mentions=12, n_pairs=40)
+        _, grads = gradients(params, data, np.arange(40))
+        # + 0.0: a gradient written in place may hold -0.0 where a sum
+        # into zeros held +0.0; both are zero
+        blob = b"".join((grads[name] + 0.0).tobytes()
+                        for name in BLOCK_ORDER)
+        assert hashlib.sha256(blob).hexdigest() == \
+            self.PINNED_GRADIENTS[mode]
+
     def test_loss_matches_batch_loss_from_dataset(self, dims, params):
         data = make_random_dataset(dims, 5, n_pairs=6)
         sel = np.arange(6)
@@ -452,16 +479,36 @@ class TestCheckpoint:
         with pytest.raises(ScorerError, match="truncated in block W1"):
             load_checkpoint(path)
 
-    def test_loaded_arrays_own_writable_contiguous_data(self, tmp_path,
-                                                        params):
+    def test_loaded_blocks_are_views_of_one_buffer(self, tmp_path, params):
         path = tmp_path / "model.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
+        flat = loaded.flat
+        assert flat.flags.owndata and flat.flags.c_contiguous
+        offset = 0
         for name, arr in loaded.blocks().items():
             assert arr.flags.writeable and arr.flags.c_contiguous, name
-            assert arr.flags.owndata, name
             assert arr.dtype == np.float64, name
+            assert arr.base is flat, name  # a view, not a per-block copy
+            start = (arr.__array_interface__["data"][0]
+                     - flat.__array_interface__["data"][0])
+            assert start == offset * 8, name  # in BLOCK_ORDER, back to back
+            offset += arr.size
+        assert list(loaded.blocks()) == list(BLOCK_ORDER)
+        assert offset == flat.size
         assert loaded.b2.shape == ()
+        np.testing.assert_array_equal(flat, params.flat)
+
+    def test_copy_is_independent(self, params):
+        before = params.flat.copy()
+        snapshot = params.copy()
+        np.testing.assert_array_equal(snapshot.flat, before)
+        snapshot.W1[0, 0] += 1.0
+        snapshot.b2[...] = 7.0
+        snapshot.flat[0] = -3.0
+        np.testing.assert_array_equal(params.flat, before)
+        assert snapshot.W1[0, 0] == before[params.slices["W1"]][0] + 1.0
+        assert snapshot.flat[params.slices["b2"]][0] == 7.0
 
     # sha256 of the checkpoint of init_parameters(SMALL_DIMS(mode), 7), as
     # written by the tobytes() writer this one replaced
@@ -488,6 +535,45 @@ class TestCheckpoint:
         path.write_bytes(b"hello world")
         with pytest.raises(Exception, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+@st.composite
+def segments(draw):
+    """Indices (repeated, unsorted, possibly none) with rows of any float."""
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 20))
+    index = np.array(draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                   max_size=count)), dtype=np.intp)
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 1e-300, 3.0e15, -2.5])
+    rows = np.array(draw(st.lists(values, min_size=count * width,
+                                  max_size=count * width)),
+                    dtype=np.float64).reshape(count, width)
+    return index, rows, n
+
+
+class TestSegmentSum:
+    @settings(max_examples=300, deadline=None)
+    @given(segments())
+    def test_bit_equal_to_sequential_add_at(self, case):
+        index, rows, n = case
+        want = np.zeros((n, rows.shape[1]))
+        np.add.at(want, index, rows)
+        got = segment_sum(index, rows, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_concatenated_lists_keep_each_bin_in_order(self, rng):
+        # one call over concatenated index lists equals add.at list by list
+        parts = [(rng.integers(0, 5, size=m), rng.standard_normal((m, 3)))
+                 for m in (7, 0, 11)]
+        want = np.zeros((5, 3))
+        for index, rows in parts:
+            np.add.at(want, index, rows)
+        got = segment_sum(np.concatenate([i for i, _ in parts]),
+                          np.concatenate([r for _, r in parts]), 5)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestInit:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from cscoref.commonsense import GenerationConfig
 from cscoref.corpus import Corpus, Document, Mention
 from cscoref.embed import EmbedderConfig
 from cscoref.pipeline import DESK_SPLIT_SPECS, preset
-from cscoref.scorer import (ModelDims, forward_batch, init_parameters,
-                            save_checkpoint, score_pairs)
+from cscoref.scorer import (ModelDims, ModelParameters, forward_batch,
+                            init_parameters, save_checkpoint, score_pairs)
 from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
 from cscoref import training
@@ -88,12 +90,42 @@ class TestAdam:
         params = init_parameters(dims, 0)
         opt = Adam(dims, lr=0.05)
         target = {n: np.zeros_like(a) for n, a in params.blocks().items()}
+        grads = ModelParameters(dims)
         for _ in range(300):
-            grads = {n: 2 * (a - target[n])
-                     for n, a in params.blocks().items()}
+            for n, a in params.blocks().items():
+                grads[n] = 2 * (a - target[n])
             opt.step(params, grads)
         for name, arr in params.blocks().items():
             assert np.abs(arr).max() < 1e-2
+
+    def test_flat_step_bit_equal_to_per_block_reference(self):
+        """50 steps of random gradients against the per-block update,
+        frozen as it was before the moments became one vector."""
+        dims = ModelDims(d=3, d_len=2, d_a=2, h=5, mode="intra",
+                         max_width_bucket=3)
+        params = init_parameters(dims, 1)
+        ref = {n: a.copy() for n, a in params.blocks().items()}
+        ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+        opt = Adam(dims, lr=1e-2)
+        grads = ModelParameters(dims)
+        rng = np.random.default_rng(3)
+        for t in range(1, 51):
+            grads.flat[:] = rng.standard_normal(grads.flat.size) * 10.0 ** (
+                rng.integers(-6, 3, size=grads.flat.size))
+            opt.step(params, grads)
+            bias1 = 1.0 - Adam.BETA1 ** t
+            bias2 = 1.0 - Adam.BETA2 ** t
+            for name, g in grads.blocks().items():
+                m, v = ref_m[name], ref_v[name]
+                m *= Adam.BETA1
+                m += (1.0 - Adam.BETA1) * g
+                v *= Adam.BETA2
+                v += (1.0 - Adam.BETA2) * np.square(g)
+                update = (m / bias1) / (np.sqrt(v / bias2) + Adam.EPS)
+                ref[name] -= opt.lr * update
+        for name, arr in params.blocks().items():
+            assert arr.tobytes() == ref[name].tobytes(), name
 
 
 class TestTrain:
@@ -121,6 +153,34 @@ class TestTrain:
             save_checkpoint(params, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # sha256 of the checkpoint and the exact last-epoch train loss of the
+    # run below, as trained by the per-block update with np.add.at
+    PINNED_TRAINED = {
+        "baseline": ("60c370f712e0d6e23729f06bb6e5acd1"
+                     "caf34394d2d3f3df479807cd407571dc", 0.6916863020707483),
+        "intra": ("0cf49ff245a2397e5ca469609cd7e705"
+                  "b7361c1ca5866a600e13971fb4d733eb", 0.6660327674620442),
+        "inter": ("a20136d806a948ed1ce6bc1d7d4d2027"
+                  "ebe5592492b90bdfbdd621ee88b36ecc", 0.674466942549843),
+    }
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_pinned_trained_bytes(self, tmp_path, small_spec, small_corpus,
+                                  mode):
+        # criterion 8's corpus, embedder and config, in every mode, with
+        # batches of 5 over 12 pairs so that each epoch ends on a short one
+        config = TrainConfig(mode=mode, epochs=4, patience=None, seed=9,
+                             learning_rate=1e-3, hidden=32, d_a=4,
+                             batch_size=5)
+        data = build_dataset(small_corpus, EMB, mode,
+                             inference_source=SyntheticProvider(small_spec))
+        params, history = train(data, EMB, config)
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (digest, history["epochs"][-1]["train_loss"]) \
+            == self.PINNED_TRAINED[mode]
 
     def test_seed_changes_outcome(self, small_spec, small_corpus):
         outs = []
