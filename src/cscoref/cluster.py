@@ -26,24 +26,30 @@ def merge_sequence(ids, scores) -> list[tuple[float, str, str]]:
     ties go to the lexicographically smallest (a, b) pair. Raises ValueError
     for duplicate ids or a score outside [0, 1] (NaN included), and KeyError
     naming the first pair of ``ids``, in sorted order, with no score.
+
+    The scores are read into a dense symmetric matrix in one pass at C
+    level (``np.fromiter`` over the sorted pairs, placed by an upper-triangle
+    mask); each merge then updates one row and column of it.
     """
     ids = sorted(ids)
     n = len(ids)
     if len(set(ids)) != n:
         raise ValueError("duplicate mention ids")
-    pairs = list(itertools.combinations(ids, 2))
     try:
-        values = np.array([scores[pair] for pair in pairs], dtype=np.float64)
+        values = np.fromiter(
+            map(scores.__getitem__, itertools.combinations(ids, 2)),
+            dtype=np.float64, count=n * (n - 1) // 2)
     except KeyError as exc:
         raise KeyError(f"no score for pair {exc.args[0]}") from None
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(
-            f"score {values[i]} for pair {pairs[i]} outside [0, 1]")
+        pair = next(itertools.islice(itertools.combinations(ids, 2), i, None))
+        raise ValueError(f"score {values[i]} for pair {pair} outside [0, 1]")
     # combinations of sorted ids run in row-major order over the upper
-    # triangle; the diagonal stays 0
-    upper = np.triu_indices(n, k=1)
+    # triangle, the order in which a boolean mask places values; the
+    # diagonal stays 0
+    upper = np.less.outer(np.arange(n), np.arange(n))
     sums = np.zeros((n, n))
     sums[upper] = values
     sums.T[upper] = values

@@ -106,18 +106,6 @@ class Clustering:
     def cluster_of(self, mention_id: str) -> str:
         return self.assignment[mention_id]
 
-    def restrict(self, mention_ids: Iterable[str]) -> "Clustering":
-        keep = set(mention_ids)
-        return Clustering({m: c for m, c in self.assignment.items()
-                           if m in keep})
-
-    def drop_singletons(self) -> "Clustering":
-        sizes: dict[str, int] = {}
-        for c in self.assignment.values():
-            sizes[c] = sizes.get(c, 0) + 1
-        return Clustering({m: c for m, c in self.assignment.items()
-                           if sizes[c] > 1})
-
     def __eq__(self, other):
         if not isinstance(other, Clustering):
             return NotImplemented

@@ -1,9 +1,12 @@
 """Coreference evaluation: MUC, B-cubed, CEAF-e, and their CoNLL average.
 
-All three scorers take a key (gold) and a response (system) clustering over
-the same mention universe. ``evaluate`` adds the protocol used for corpus
-runs: singleton removal on both sides, universe harmonization, per-topic
-computation, and arithmetic averaging across topics.
+All three metrics read one contingency table ``n_ij = |K_i & R_j|`` of a key
+(gold) partition ``K`` and a response (system) partition ``R`` of the same
+mentions. ``evaluate`` adds the protocol used for corpus runs: per unit,
+singleton removal on both sides and universe harmonization, both done on the
+integer labels before the table is built, then arithmetic averaging across
+units. Its gold side (``GoldKey``) does not depend on the system clustering,
+so threshold tuning builds it once and scores every grid value against it.
 """
 
 from __future__ import annotations
@@ -44,66 +47,86 @@ def _check_universe(key: Clustering, response: Clustering):
             f"(key-only {only_key}, response-only {only_resp})")
 
 
-def _muc_recall(key: Clustering, response: Clustering) -> float:
-    """Link recall: for each key cluster, links recovered over links needed."""
-    num = 0
-    den = 0
-    for members in key.clusters().values():
-        # partition the key cluster by the response cluster of each mention
-        parts = {response.assignment[m] for m in members}
-        num += len(members) - len(parts)
-        den += len(members) - 1
+def _compact(labels):
+    """Codes 0..C-1 of ``labels`` and the size of each class."""
+    _, codes, sizes = np.unique(labels, return_inverse=True,
+                                return_counts=True)
+    return codes, sizes
+
+
+class Contingency:
+    """The table ``n_ij = |K_i & R_j|`` of a key and a response partition of
+    one mention universe, given as one key label and one response label per
+    mention: its nonzero cells (``rows``, ``cols``, ``counts``), the cluster
+    sizes on each side, and the number of mentions ``n``."""
+
+    def __init__(self, key_labels, response_labels):
+        key, self.key_sizes = _compact(key_labels)
+        response, self.response_sizes = _compact(response_labels)
+        width = len(self.response_sizes)
+        cells, self.counts = np.unique(key * width + response,
+                                       return_counts=True)
+        self.rows, self.cols = np.divmod(cells, max(width, 1))
+        self.n = len(key)
+
+
+def _ratio(num, den) -> float:
     return num / den if den > 0 else 0.0
 
 
-def muc(key: Clustering, response: Clustering) -> MetricScore:
-    _check_universe(key, response)
-    recall = _muc_recall(key, response)
-    precision = _muc_recall(response, key)
+def muc_table(t: Contingency) -> MetricScore:
+    """Link recall and precision (Vilain et al. 1995). Key cluster i needs
+    ``|K_i| - 1`` links and keeps ``|K_i|`` minus the number of response
+    clusters it meets, so the kept links of either side are ``n - nnz``."""
+    kept = t.n - len(t.counts)
+    return MetricScore.from_pr(_ratio(kept, t.n - len(t.response_sizes)),
+                               _ratio(kept, t.n - len(t.key_sizes)))
+
+
+def b_cubed_table(t: Contingency) -> MetricScore:
+    """Mean over mentions of the overlap of their two clusters: recall is
+    ``sum n_ij^2 / |K_i|`` over ``n``, precision the same over ``|R_j|``."""
+    squares = t.counts * t.counts
+    recall = _ratio(float(np.sum(squares / t.key_sizes[t.rows])), t.n)
+    precision = _ratio(float(np.sum(squares / t.response_sizes[t.cols])),
+                       t.n)
     return MetricScore.from_pr(precision, recall)
 
 
-def _b3_recall(key: Clustering, response: Clustering) -> float:
-    """Mean over key mentions of overlap between the two containing clusters."""
-    key_clusters = key.clusters()
-    resp_clusters = response.clusters()
-    total = 0.0
-    n = 0
-    for members in key_clusters.values():
-        for m in members:
-            resp_members = resp_clusters[response.assignment[m]]
-            total += len(members & resp_members) / len(members)
-            n += 1
-    return total / n if n > 0 else 0.0
+def ceaf_e_table(t: Contingency) -> MetricScore:
+    """Entity similarity ``phi4 = 2 n_ij / (|K_i| + |R_j|)`` summed over the
+    optimal one-to-one cluster alignment (Luo 2005), over the number of key
+    clusters for recall and of response clusters for precision; zero when
+    either side has no cluster."""
+    n_key, n_response = len(t.key_sizes), len(t.response_sizes)
+    if not n_key or not n_response:
+        return MetricScore.zero()
+    sim = np.zeros((n_key, n_response))
+    sim[t.rows, t.cols] = 2 * t.counts / (t.key_sizes[t.rows]
+                                          + t.response_sizes[t.cols])
+    rows, cols = linear_sum_assignment(-sim)
+    best = float(sim[rows, cols].sum())
+    return MetricScore.from_pr(best / n_response, best / n_key)
+
+
+def _table(key: Clustering, response: Clustering) -> Contingency:
+    _check_universe(key, response)
+    mentions = list(key.assignment)
+    return Contingency([key.assignment[m] for m in mentions],
+                       [response.assignment[m] for m in mentions])
+
+
+def muc(key: Clustering, response: Clustering) -> MetricScore:
+    return muc_table(_table(key, response))
 
 
 def b_cubed(key: Clustering, response: Clustering) -> MetricScore:
-    _check_universe(key, response)
-    recall = _b3_recall(key, response)
-    precision = _b3_recall(response, key)
-    return MetricScore.from_pr(precision, recall)
-
-
-def _phi4(a: frozenset, b: frozenset) -> float:
-    return 2 * len(a & b) / (len(a) + len(b))
+    return b_cubed_table(_table(key, response))
 
 
 def ceaf_e(key: Clustering, response: Clustering) -> MetricScore:
     """Entity-alignment score over the optimal one-to-one cluster matching."""
-    _check_universe(key, response)
-    key_clusters = [frozenset(v) for v in key.clusters().values()]
-    resp_clusters = [frozenset(v) for v in response.clusters().values()]
-    if not key_clusters or not resp_clusters:
-        return MetricScore.zero()
-    sim = np.zeros((len(key_clusters), len(resp_clusters)))
-    for i, kc in enumerate(key_clusters):
-        for j, rc in enumerate(resp_clusters):
-            sim[i, j] = _phi4(kc, rc)
-    rows, cols = linear_sum_assignment(-sim)
-    best = float(sim[rows, cols].sum())
-    recall = best / len(key_clusters)
-    precision = best / len(resp_clusters)
-    return MetricScore.from_pr(precision, recall)
+    return ceaf_e_table(_table(key, response))
 
 
 def conll_f1(scores) -> float:
@@ -114,32 +137,36 @@ def conll_f1(scores) -> float:
     return sum(values) / 3
 
 
-METRIC_FUNCS = (("muc", muc), ("b_cubed", b_cubed), ("ceaf_e", ceaf_e))
+METRIC_FUNCS = (("muc", muc_table), ("b_cubed", b_cubed_table),
+                ("ceaf_e", ceaf_e_table))
 
 
-def harmonize(key: Clustering, response: Clustering):
-    """Align the mention universes by adding one-sided mentions as singletons."""
-    key_only = key.mentions - response.mentions
-    resp_only = response.mentions - key.mentions
-    new_key = dict(key.assignment)
-    for m in resp_only:
-        new_key[m] = f"_singleton_{m}"
-    new_resp = dict(response.assignment)
-    for m in key_only:
-        new_resp[m] = f"_singleton_{m}"
-    return Clustering(new_key), Clustering(new_resp)
+def _codes(labels: list) -> np.ndarray:
+    """Integer codes of ``labels`` in order of first appearance."""
+    index: dict = {}
+    return np.fromiter((index.setdefault(x, len(index)) for x in labels),
+                       dtype=np.intp, count=len(labels))
 
 
-def score_pair_of_clusterings(key: Clustering, response: Clustering,
-                              drop_singletons: bool = True) -> dict:
-    """Metrics for one evaluation unit, with optional singleton removal."""
+def _unit_table(key: np.ndarray, response: np.ndarray,
+                drop_singletons: bool) -> Contingency | None:
+    """The table of one unit from its key and response codes, after
+    singleton removal on both sides; None when no key cluster survives it.
+
+    A mention that survives on one side only stays in the universe as a
+    singleton of the other side (harmonization): it takes a fresh label
+    there, one that no other mention has.
+    """
     if drop_singletons:
-        key = key.drop_singletons()
-        response = response.drop_singletons()
-    if not key.mentions:
-        return {}
-    key, response = harmonize(key, response)
-    return {name: fn(key, response) for name, fn in METRIC_FUNCS}
+        in_key = np.bincount(key)[key] > 1
+        if not in_key.any():
+            return None
+        in_response = np.bincount(response)[response] > 1
+        fresh = -1 - np.arange(len(key))
+        kept = in_key | in_response
+        key = np.where(in_key, key, fresh)[kept]
+        response = np.where(in_response, response, fresh)[kept]
+    return Contingency(key, response)
 
 
 @dataclass
@@ -202,46 +229,78 @@ class EvalReport:
         }
 
 
+@dataclass(frozen=True)
+class GoldKey:
+    """The gold side of ``evaluate`` for one corpus, options and mention
+    subset: every gold mention (a system clustering must cover them all),
+    and for each unit with an evaluated mention its mention ids and their
+    gold labels as integer codes."""
+    options: EvalOptions
+    mention_subset: frozenset | None
+    mentions: frozenset
+    units: tuple  # (unit, mention ids, gold codes), units in sorted order
+
+    @classmethod
+    def build(cls, corpus: Corpus, options: EvalOptions | None = None,
+              mention_subset=None) -> "GoldKey":
+        options = options or EvalOptions()
+        gold = corpus.gold_clustering().assignment
+        subset = None if mention_subset is None else frozenset(mention_subset)
+        scope = options.unit if options.topic_level else "corpus"
+        units = []
+        for unit, members in corpus.units(scope).items():
+            ids = [m.mention_id for m in members
+                   if subset is None or m.mention_id in subset]
+            if ids:
+                units.append((unit, ids, _codes([gold[m] for m in ids])))
+        return cls(options, subset, frozenset(gold), tuple(units))
+
+
 def evaluate(corpus: Corpus, system: Clustering,
              options: EvalOptions | None = None,
-             mention_subset=None) -> EvalReport:
+             mention_subset=None, *, key: GoldKey | None = None
+             ) -> EvalReport:
     """Score a system clustering against the corpus gold partition.
 
     Per unit (``options.unit``; with ``topic_level`` off, one ``"corpus"``
     unit): remove singleton clusters from both key and response, harmonize
-    the surviving mention universes, compute the three metrics, then average
-    precision/recall/F1 arithmetically across units. Units with no evaluated
-    mention are left out; units whose key is empty after singleton removal
-    are skipped and listed.
-    ``mention_subset`` restricts the evaluation universe before anything
-    else (e.g. to one generator difficulty class).
+    the surviving mention universes, compute the three metrics from the
+    unit's contingency table, then average precision/recall/F1
+    arithmetically across units. Units with no evaluated mention are left
+    out; units whose key is empty after singleton removal are skipped and
+    listed. ``mention_subset`` restricts the evaluation universe before
+    anything else (e.g. to one generator difficulty class). System mentions
+    outside the gold mentions are ignored; a gold mention missing from the
+    system is a ValueError.
+
+    ``key`` is the gold side, ``GoldKey.build(corpus, options,
+    mention_subset)``; a caller that scores several clusterings of one
+    corpus builds it once and passes it. A key built for other options or
+    another subset is a ValueError.
     """
     options = options or EvalOptions()
-    gold = corpus.gold_clustering()
-    missing = gold.mentions - system.mentions
+    if key is None:
+        key = GoldKey.build(corpus, options, mention_subset)
+    elif (key.options != options or key.mention_subset != (
+            None if mention_subset is None else frozenset(mention_subset))):
+        raise ValueError("gold key was built for other evaluation options "
+                         "or another mention subset")
+    assignment = system.assignment
+    missing = [m for m in key.mentions if m not in assignment]
     if missing:
         raise ValueError(
             f"system clustering is missing gold mentions: "
             f"{sorted(missing)[:5]}")
-    system = system.restrict(gold.mentions)
-    if mention_subset is not None:
-        gold = gold.restrict(mention_subset)
-        system = system.restrict(mention_subset)
 
-    evaluated = gold.mentions
-    scope = options.unit if options.topic_level else "corpus"
     report = EvalReport(options=options)
-    for unit, members in corpus.units(scope).items():
-        ids = [m.mention_id for m in members if m.mention_id in evaluated]
-        if not ids:
-            continue
-        scores = score_pair_of_clusterings(
-            gold.restrict(ids), system.restrict(ids),
-            drop_singletons=options.drop_singletons)
-        if not scores:
+    for unit, ids, gold_codes in key.units:
+        table = _unit_table(gold_codes, _codes([assignment[m] for m in ids]),
+                            options.drop_singletons)
+        if table is None:
             report.skipped_topics.append(unit)
             continue
-        report.per_topic[unit] = scores
+        report.per_topic[unit] = {name: fn(table)
+                                  for name, fn in METRIC_FUNCS}
 
     if report.per_topic:
         agg = {}

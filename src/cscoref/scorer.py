@@ -268,28 +268,41 @@ def score_pair(params: ModelParameters, g: np.ndarray,
     """Probability that the pair corefers: sigmoid MLP over the features.
 
     Dropout masks the hidden layer only during training; evaluation is
-    deterministic.
+    deterministic. A non-finite value in ``W1``, ``b1``, ``W2`` or ``b2``
+    always makes the first-layer output or the logit non-finite (NaN and
+    ``0 * inf`` propagate), so only those two are checked; on a failure the
+    first non-finite block is named in the raised NonFiniteParameterError.
     """
-    for name in ("W1", "b1", "W2", "b2"):
-        if not np.all(np.isfinite(getattr(params, name))):
-            raise NonFiniteParameterError(name)
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (params.dims.g_dim,):
         raise ValueError(f"feature vector has shape {g.shape}, expected "
                          f"({params.dims.g_dim},)")
-    z1 = g @ params.W1 + params.b1
+    with np.errstate(invalid="ignore", over="ignore"):
+        z1 = g @ params.W1 + params.b1
     if not np.all(np.isfinite(z1)):
-        raise NonFiniteParameterError("W1")
+        raise _non_finite_block(params, "W1")
     hidden = np.maximum(z1, 0.0)
     if training:
         if rng is None:
             raise ValueError("training mode requires an rng for dropout")
         mask = rng.random(hidden.shape) >= dropout
         hidden = hidden * mask / (1.0 - dropout)
-    logit = hidden @ params.W2 + params.b2
+    with np.errstate(invalid="ignore", over="ignore"):
+        logit = hidden @ params.W2 + params.b2
     if not np.isfinite(logit):
-        raise NonFiniteParameterError("W2")
+        raise _non_finite_block(params, "W2")
     return float(sigmoid(np.asarray([logit]))[0])
+
+
+def _non_finite_block(params: ModelParameters,
+                      default: str) -> NonFiniteParameterError:
+    """The error naming the first MLP block with a non-finite value, or
+    ``default`` when every block is finite and the overflow came from the
+    features."""
+    for name in ("W1", "b1", "W2", "b2"):
+        if not np.all(np.isfinite(getattr(params, name))):
+            return NonFiniteParameterError(name)
+    return NonFiniteParameterError(default)
 
 
 def bce_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:

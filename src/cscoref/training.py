@@ -13,7 +13,7 @@ from .cluster import (agglomerative_cluster, check_unit_interval,
 from .commonsense import GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
-from .metrics import EvalOptions, evaluate
+from .metrics import EvalOptions, GoldKey, evaluate
 from .scorer import (BLOCK_ORDER, ModelDims, ModelParameters, PairDataset,
                      SpanTensors, backward_batch, bce_loss,
                      forward_batch, init_parameters, score_pairs)
@@ -275,7 +275,8 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
 
     Each scope unit's merge sequence is recorded once and cut at every grid
     value, which gives the clustering ``cluster_from_scores`` returns at
-    that value.
+    that value. The gold side of the evaluation is built once and every
+    cut is scored against it.
     """
     grid = list(grid)
     if not grid:
@@ -283,6 +284,7 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
     for tau in grid:
         check_unit_interval("threshold", tau)
     eval_options = eval_options or EvalOptions()
+    gold = GoldKey.build(corpus, eval_options)
     sequences = [(ids, merge_sequence(ids, score_lookup))
                  for ids in _scope_units(corpus, scope)]
     best = None
@@ -290,10 +292,11 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
         assignment = {}
         for ids, steps in sequences:
             assignment.update(cut_merge_sequence(ids, steps, tau).assignment)
-        report = evaluate(corpus, Clustering(assignment), eval_options)
-        key = (report.conll_f1, tau)
-        if best is None or key >= best:
-            best = key
+        report = evaluate(corpus, Clustering(assignment), eval_options,
+                          key=gold)
+        rank = (report.conll_f1, tau)
+        if best is None or rank >= best:
+            best = rank
     return best[1]
 
 

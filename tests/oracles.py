@@ -4,10 +4,16 @@ These share no code with the library: MUC recall is computed by union-find
 link counting, B-cubed by raw per-mention loops, and the CEAF alignment by
 exhaustive enumeration of injective cluster matchings. The clustering
 oracle is the original dict-based average-linkage merge loop, which
-re-runs the whole merge sequence for each threshold.
+re-runs the whole merge sequence for each threshold. ``evaluate_oracle`` is
+the original set-based evaluation protocol: per unit, it restricts both
+clusterings, drops singleton clusters, adds one-sided mentions as
+singletons, and scores the three metrics over sets of mention ids.
 """
 
 import itertools
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def _f1(p, r):
@@ -155,3 +161,119 @@ def agglomerative_cluster_oracle(mentions, scores, threshold):
             link_sum[key_ca] = link_sum[key_ca] + link_sum.pop(key_cb)
 
     return {m: rep for rep, members in clusters.items() for m in members}
+
+
+# ---------------------------------------------------------------------------
+# the set-based evaluation protocol, on assignments mention -> cluster id
+# ---------------------------------------------------------------------------
+
+def _restrict(assignment, mentions):
+    return {m: c for m, c in assignment.items() if m in mentions}
+
+
+def _drop_singletons(assignment):
+    sizes = {}
+    for c in assignment.values():
+        sizes[c] = sizes.get(c, 0) + 1
+    return {m: c for m, c in assignment.items() if sizes[c] > 1}
+
+
+def _harmonize(key, response):
+    """Add each one-sided mention to the other side as a singleton."""
+    new_key = dict(key)
+    for m in set(response) - set(key):
+        new_key[m] = f"_singleton_{m}"
+    new_response = dict(response)
+    for m in set(key) - set(response):
+        new_response[m] = f"_singleton_{m}"
+    return new_key, new_response
+
+
+def _set_muc_recall(key, response):
+    num = den = 0
+    for members in _clusters(key):
+        num += len(members) - len({response[m] for m in members})
+        den += len(members) - 1
+    return num / den if den > 0 else 0.0
+
+
+def _set_b3_recall(key, response):
+    key_clusters = {c: set() for c in key.values()}
+    for m, c in key.items():
+        key_clusters[c].add(m)
+    resp_clusters = {c: set() for c in response.values()}
+    for m, c in response.items():
+        resp_clusters[c].add(m)
+    total = 0.0
+    for m, c in key.items():
+        members = key_clusters[c]
+        total += len(members & resp_clusters[response[m]]) / len(members)
+    return total / len(key) if key else 0.0
+
+
+def _set_ceaf_e(key, response):
+    key_clusters = _clusters(key)
+    resp_clusters = _clusters(response)
+    if not key_clusters or not resp_clusters:
+        return 0.0, 0.0
+    sim = np.array([[2 * len(a & b) / (len(a) + len(b))
+                     for b in resp_clusters] for a in key_clusters])
+    rows, cols = linear_sum_assignment(-sim)
+    best = float(sim[rows, cols].sum())
+    return best / len(resp_clusters), best / len(key_clusters)
+
+
+def _scores(key, response):
+    """{metric: (precision, recall, f1)} on one harmonized unit."""
+    muc_p, muc_r = _set_muc_recall(response, key), _set_muc_recall(
+        key, response)
+    b3_p, b3_r = _set_b3_recall(response, key), _set_b3_recall(
+        key, response)
+    ceaf_p, ceaf_r = _set_ceaf_e(key, response)
+    return {name: (p, r, _f1(p, r)) for name, p, r in (
+        ("muc", muc_p, muc_r), ("b_cubed", b3_p, b3_r),
+        ("ceaf_e", ceaf_p, ceaf_r))}
+
+
+def evaluate_oracle(corpus, system, drop_singletons=True, topic_level=True,
+                    unit="topic", mention_subset=None):
+    """The evaluation protocol over sets. ``system`` maps mention ids to
+    cluster ids. Returns ``{"per_topic": {unit: {metric: (p, r, f1)}},
+    "skipped_topics": [...], "aggregate": {metric: (p, r, f1)},
+    "conll_f1": float}``; raises ValueError when ``system`` misses a gold
+    mention."""
+    gold = {m.mention_id: m.gold_cluster_id
+            for m in corpus.mentions.values()}
+    missing = set(gold) - set(system)
+    if missing:
+        raise ValueError(f"system clustering is missing gold mentions: "
+                         f"{sorted(missing)[:5]}")
+    system = _restrict(system, gold)
+    if mention_subset is not None:
+        gold = _restrict(gold, set(mention_subset))
+        system = _restrict(system, set(mention_subset))
+    units = {}
+    for m in gold:
+        doc = corpus.documents[corpus.mentions[m].doc_id]
+        name = (getattr(doc, f"{unit}_id") if topic_level else "corpus")
+        units.setdefault(name, set()).add(m)
+    per_topic, skipped = {}, []
+    for name in sorted(units):
+        key = _restrict(gold, units[name])
+        response = _restrict(system, units[name])
+        if drop_singletons:
+            key, response = _drop_singletons(key), _drop_singletons(response)
+        if not key:
+            skipped.append(name)
+            continue
+        per_topic[name] = _scores(*_harmonize(key, response))
+    aggregate = {}
+    conll = 0.0
+    if per_topic:
+        for metric in ("muc", "b_cubed", "ceaf_e"):
+            aggregate[metric] = tuple(
+                float(np.mean([s[metric][i] for s in per_topic.values()]))
+                for i in range(3))
+        conll = sum(aggregate[m][2] for m in aggregate) / 3
+    return {"per_topic": per_topic, "skipped_topics": skipped,
+            "aggregate": aggregate, "conll_f1": conll}

@@ -208,11 +208,6 @@ class TestClustering:
         assert c.clusters() == {"x": {"a", "b"}, "y": {"c"}}
         assert len(c) == 2
 
-    def test_drop_singletons(self):
-        c = Clustering({"a": "x", "b": "x", "c": "y"})
-        kept = c.drop_singletons()
-        assert kept.mentions == {"a", "b"}
-
     def test_equality_ignores_labels(self):
         c1 = Clustering({"a": "x", "b": "x"})
         c2 = Clustering({"a": "q", "b": "q"})

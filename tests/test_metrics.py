@@ -1,11 +1,12 @@
 import pytest
 
 from cscoref.corpus import Clustering, Corpus, Document, Mention
-from cscoref.metrics import (EvalOptions, MetricScore, b_cubed, ceaf_e,
-                             conll_f1, evaluate, harmonize, muc)
+from cscoref.metrics import (Contingency, EvalOptions, GoldKey, MetricScore,
+                             b_cubed, ceaf_e, ceaf_e_table, conll_f1,
+                             evaluate, muc)
 
-from oracles import (b_cubed_oracle, ceaf_e_oracle, muc_oracle,
-                     random_clustering)
+from oracles import (b_cubed_oracle, ceaf_e_oracle, evaluate_oracle,
+                     muc_oracle, random_clustering)
 
 
 def clustering(groups):
@@ -238,12 +239,136 @@ class TestEvaluate:
 
 class TestHarmonize:
     def test_one_sided_mentions_become_singletons(self):
-        key = Clustering({"a": "x", "b": "x"})
-        response = Clustering({"a": "y", "c": "z"})
-        h_key, h_resp = harmonize(key, response)
-        assert h_key.mentions == h_resp.mentions == {"a", "b", "c"}
-        assert h_key.clusters()[h_key.cluster_of("c")] == {"c"}
-        assert h_resp.clusters()[h_resp.cluster_of("b")] == {"b"}
+        # gold {a,b},{c}; system {a,c},{b}: singleton removal leaves key
+        # {a,b} and response {a,c}; harmonization adds c to the key and b
+        # to the response as singletons, which is criterion 2's pair
+        corpus = _subtopic_corpus({"t0": [["a", "b"], ["c"]]})
+        report = evaluate(corpus, Clustering({"a": "x", "c": "x", "b": "y"}))
+        key = clustering([["a", "b"], ["c"]])
+        response = clustering([["a", "c"], ["b"]])
+        scores = report.per_topic["t0"]
+        for name, metric in (("muc", muc), ("b_cubed", b_cubed),
+                             ("ceaf_e", ceaf_e)):
+            expected = metric(key, response)
+            for field in ("precision", "recall", "f1"):
+                assert getattr(scores[name], field) == pytest.approx(
+                    getattr(expected, field), abs=1e-12)
+        assert scores["ceaf_e"].f1 == pytest.approx(2 / 3, abs=1e-12)
+
+
+def _random_eval_case(rng):
+    """1-3 topics of 1-3 subtopics with 1-7 mentions each; gold clusters
+    drawn within a topic (singletons common), a system clustering whose
+    cluster ids cross units and which may cover extra mentions, random
+    options, and a mention subset in a third of the cases."""
+    docs, mentions = [], []
+    for t in range(int(rng.integers(1, 4))):
+        for s in range(int(rng.integers(1, 4))):
+            doc = f"d{t}{s}"
+            docs.append(Document(doc, f"t{t}", f"t{t}_s{s}", [["evt"]]))
+            for i in range(int(rng.integers(1, 8))):
+                mentions.append(Mention(
+                    f"m{t}{s}{i}", doc, 0, 0, 0, "evt",
+                    gold_cluster_id=f"k{t}_{int(rng.integers(5))}"))
+    corpus = Corpus(docs, mentions)
+    ids = sorted(corpus.mentions)
+    system = random_clustering(rng, ids, 6)
+    if rng.random() < 0.3:
+        system["zz_extra"] = "c0"
+    subset = None
+    if rng.random() < 0.3:
+        subset = [m for m in ids if rng.random() < 0.6]
+    options = EvalOptions(topic_level=bool(rng.random() < 0.8),
+                          drop_singletons=bool(rng.random() < 0.7),
+                          unit=str(rng.choice(["topic", "subtopic"])))
+    return corpus, system, options, subset
+
+
+def assert_matches_oracle(report, expected):
+    assert list(report.per_topic) == list(expected["per_topic"])
+    assert report.skipped_topics == expected["skipped_topics"]
+    rows = [(report.per_topic[u], expected["per_topic"][u])
+            for u in report.per_topic]
+    if report.per_topic:
+        rows.append((report.aggregate, expected["aggregate"]))
+    for mine, theirs in rows:
+        for name in ("muc", "b_cubed", "ceaf_e"):
+            got = (mine[name].precision, mine[name].recall, mine[name].f1)
+            assert got == pytest.approx(theirs[name], abs=1e-12), name
+    assert report.conll_f1 == pytest.approx(expected["conll_f1"], abs=1e-12)
+
+
+def _oracle(corpus, system, options=None, subset=None):
+    options = options or EvalOptions()
+    return evaluate_oracle(corpus, system,
+                           drop_singletons=options.drop_singletons,
+                           topic_level=options.topic_level,
+                           unit=options.unit, mention_subset=subset)
+
+
+class TestEvaluateMatchesOracle:
+    def test_random_cases(self, rng):
+        for _ in range(400):
+            corpus, system, options, subset = _random_eval_case(rng)
+            report = evaluate(corpus, Clustering(system), options,
+                              mention_subset=subset)
+            assert_matches_oracle(report,
+                                  _oracle(corpus, system, options, subset))
+
+    def test_prebuilt_key_scores_alike(self, rng):
+        for _ in range(50):
+            corpus, system, options, subset = _random_eval_case(rng)
+            key = GoldKey.build(corpus, options, subset)
+            with_key = evaluate(corpus, Clustering(system), options,
+                                mention_subset=subset, key=key)
+            assert with_key == evaluate(corpus, Clustering(system), options,
+                                        mention_subset=subset)
+
+    def test_key_for_other_options_rejected(self):
+        corpus = _subtopic_corpus({"t0": [["a", "b"]]})
+        key = GoldKey.build(corpus)
+        with pytest.raises(ValueError, match="other evaluation options"):
+            evaluate(corpus, corpus.gold_clustering(),
+                     EvalOptions(drop_singletons=False), key=key)
+        with pytest.raises(ValueError, match="other evaluation options"):
+            evaluate(corpus, corpus.gold_clustering(),
+                     mention_subset=["a"], key=key)
+
+
+class TestEvaluateEdges:
+    def test_key_empty_after_singleton_removal_skipped(self):
+        corpus = _subtopic_corpus({"t0": [["a"], ["b"]],
+                                   "t1": [["c", "d"]]})
+        system = {"a": "x", "b": "x", "c": "y", "d": "z"}
+        report = evaluate(corpus, Clustering(system))
+        assert report.skipped_topics == ["t0"]
+        assert_matches_oracle(report, _oracle(corpus, system))
+
+    def test_unit_without_evaluated_mention_omitted(self):
+        corpus = _subtopic_corpus({"t0": [["a", "b"]],
+                                   "t1": [["c", "d"], ["e"]]})
+        system = {m: "x" for m in "abcde"}
+        report = evaluate(corpus, Clustering(system),
+                          mention_subset=["c", "d", "e"])
+        assert list(report.per_topic) == ["t1"]
+        assert report.skipped_topics == []
+        assert_matches_oracle(report, _oracle(corpus, system,
+                                              subset=["c", "d", "e"]))
+
+    def test_missing_gold_mention_rejected_outside_subset(self):
+        corpus = _subtopic_corpus({"t0": [["a", "b"]], "t1": [["c", "d"]]})
+        system = {"a": "x", "b": "x", "c": "y"}
+        with pytest.raises(ValueError, match="missing gold"):
+            _oracle(corpus, system, subset=["a", "b"])
+        with pytest.raises(ValueError, match="missing gold"):
+            evaluate(corpus, Clustering(system), mention_subset=["a", "b"])
+        key = GoldKey.build(corpus)
+        with pytest.raises(ValueError, match="missing gold"):
+            evaluate(corpus, Clustering(system), key=key)
+
+    def test_ceaf_e_empty_side_scores_zero(self):
+        assert ceaf_e(Clustering({}), Clustering({})) == MetricScore.zero()
+        assert ceaf_e_table(Contingency([], [])) == MetricScore.zero()
 
 
 class TestOracleEquivalence:

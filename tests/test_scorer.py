@@ -206,6 +206,21 @@ class TestScorePair:
         with pytest.raises(NonFiniteParameterError, match="W1"):
             score_pair(params, np.zeros(dims.g_dim))
 
+    @pytest.mark.parametrize("block", ["b1", "W2", "b2"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_later_block_named(self, params, dims, rng, block,
+                                          value):
+        getattr(params, block).reshape(-1)[-1] = value
+        with pytest.raises(NonFiniteParameterError, match=block) as err:
+            score_pair(params, rng.standard_normal(dims.g_dim))
+        assert err.value.block == block
+
+    def test_non_finite_features_name_first_layer(self, params, dims):
+        g = np.zeros(dims.g_dim)
+        g[0] = np.inf
+        with pytest.raises(NonFiniteParameterError, match="W1"):
+            score_pair(params, g)
+
 
 class TestBatchLoss:
     def test_half_probability_gives_ln2(self, dims, params):

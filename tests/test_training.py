@@ -21,6 +21,8 @@ from cscoref.training import (Adam, TrainConfig, build_dataset,
                               tune_threshold_from_scores,
                               DEFAULT_THRESHOLD_GRID)
 
+from oracles import evaluate_oracle
+
 
 @pytest.fixture(scope="module")
 def small_spec():
@@ -290,13 +292,12 @@ def random_corpus(rng):
 
 
 def reference_tune(corpus, lookup, grid, scope):
-    """Cluster from scratch and evaluate at every grid value; ties go to the
-    larger threshold."""
+    """Cluster from scratch and score with the set-based evaluation oracle
+    at every grid value; ties go to the larger threshold."""
     best = None
     for tau in grid:
-        report = evaluate(corpus, cluster_from_scores(corpus, lookup, tau,
-                                                      scope=scope))
-        key = (report.conll_f1, tau)
+        system = cluster_from_scores(corpus, lookup, tau, scope=scope)
+        key = (evaluate_oracle(corpus, system.assignment)["conll_f1"], tau)
         if best is None or key >= best:
             best = key
     return best[1]
@@ -332,6 +333,26 @@ class TestTuneOnMergeSequences:
         assert len(sequences) == len(units)
         assert sorted(m for ids in sequences for m in ids) == sorted(
             corpus.mentions)
+
+    def test_gold_side_built_once(self, rng, monkeypatch):
+        corpus, lookup = random_corpus(rng)
+        gold_calls, keys = [], []
+        gold_clustering = corpus.gold_clustering
+
+        def count_gold():
+            gold_calls.append(1)
+            return gold_clustering()
+
+        def spy(*args, **kwargs):
+            keys.append(kwargs["key"])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "gold_clustering", count_gold)
+        monkeypatch.setattr(training, "evaluate", spy)
+        tune_threshold_from_scores(corpus, lookup)
+        assert len(gold_calls) == 1
+        assert len(keys) == len(DEFAULT_THRESHOLD_GRID)
+        assert all(key is keys[0] for key in keys)
 
     @pytest.mark.parametrize("grid", [[0.4, 1.5], [-0.1], [float("nan")]])
     def test_grid_value_outside_unit_interval_rejected(self, grid):
