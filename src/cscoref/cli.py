@@ -2,7 +2,8 @@
 
 Subcommands: synth, gen-inferences, train, predict, score, explain,
 gradcheck. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error, 3 runtime failure (an unreadable checkpoint, a corrupt
+configuration error, 3 runtime failure (an unreadable checkpoint, an
+unreadable or unwritable inference cache or fixture file, a corrupt
 inference cache or fixture line, a failed embedding or generation request,
 a non-finite training loss). Errors print one ``error:`` line to stderr; a
 ``train`` or ``predict`` run directory that was opened is marked

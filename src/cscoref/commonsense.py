@@ -6,9 +6,11 @@ interchangeable backends produce these inference sets: a fixture file, a
 deterministic rule tied to the synthetic corpus generator, and an external
 text-generation service. A persistent JSONL cache guarantees at most one
 backend invocation per (doc, mention, provider) key. The cache is an
-append-only log: each record is one line appended under an exclusive
-``flock``, so several processes can fill one cache file; ``read_records``
-is the one reader of that format, for caches and fixture files alike.
+append-only log: each record is one line, and each batch of records is one
+append under an exclusive ``flock``, so several processes can fill one
+cache file; ``read_records`` is the one reader of that format, for caches
+and fixture files alike. ``get_inferences_bulk`` generates a corpus's
+missing sets in chunks on a thread pool and stores each chunk as one batch.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -220,11 +223,23 @@ def _scan_records(data: bytes, path, entries: dict, lineno: int = 0) -> int:
     return len(data)
 
 
+@contextmanager
+def _naming_os_errors(path):
+    """Raise an ``OSError`` other than ``FileNotFoundError`` (a directory,
+    no permission, a full disk) as an ``InferenceError`` naming ``path``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InferenceError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load(path, entries: dict) -> tuple[int, int]:
     """Read ``path`` into ``entries``; return the length of its complete
     lines in bytes and in lines. The file is read under a shared ``flock``,
     so a cooperating writer's append is seen whole or not at all."""
-    with open(path, "rb") as fh:
+    with _naming_os_errors(path), open(path, "rb") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
         data = fh.read()
     end = _scan_records(data, path, entries)
@@ -251,6 +266,9 @@ def read_records(path) -> dict[tuple, dict]:
     return entries
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def encode_record(doc_id: str,
                   inferences: InferenceSet) -> tuple[dict, bytes]:
     """The record of ``inferences`` and its line in a cache or fixture
@@ -259,8 +277,7 @@ def encode_record(doc_id: str,
            "before": list(inferences.before),
            "after": list(inferences.after),
            "provenance": inferences.provenance}
-    return rec, json.dumps(rec, ensure_ascii=False,
-                           separators=(",", ":")).encode("utf-8") + b"\n"
+    return rec, _ENCODER.encode(rec).encode("utf-8") + b"\n"
 
 
 def _to_inference_set(rec: dict) -> InferenceSet:
@@ -275,23 +292,27 @@ class InferenceCache:
 
     Records carry {doc_id, mention_id, before, after, provenance}; the key is
     (doc_id, mention_id, provenance), and a key once written is immutable.
-    Each ``put`` appends its one line with a single ``O_APPEND`` write under
-    an exclusive ``flock``, so processes sharing a path keep each other's
-    records. A writer that finds a torn tail (an unterminated last line
-    that does not parse) truncates it before appending, so it never turns
-    into a corrupt middle line. Loading reads the format as
-    ``read_records`` does: the first record of a duplicated key wins.
+    ``put_many`` stores a batch of sets with one ``O_APPEND`` write under an
+    exclusive ``flock``, and ``put`` is a batch of one, so processes sharing
+    a path keep each other's records. A writer that finds a torn tail (an
+    unterminated last line that does not parse) truncates it before
+    appending, so it never turns into a corrupt middle line. Loading reads
+    the format as ``read_records`` does: the first record of a duplicated
+    key wins.
 
-    Under the same ``flock``, ``put`` first reads what other processes
-    appended since this cache last read the file. If one of them wrote the
-    key, ``put`` appends nothing and returns that process's set, so every
-    process uses the set that later loads serve.
+    Under the same ``flock``, a writer first reads what other processes
+    appended since this cache last read the file. A key that another
+    process recorded, then or before, is not written again: the cache
+    returns that process's set, so every process uses the set that later
+    loads serve. Only a key this cache wrote itself is checked: storing a
+    different set for it raises ``ValueError``.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[tuple, dict] = {}
+        self._written: set[tuple] = set()  # keys this cache appended
         # how far this cache has read the file: bytes, and lines in them
         self._end = self._lines = 0
         if os.path.exists(path):
@@ -307,47 +328,69 @@ class InferenceCache:
         """Store ``inferences`` and return the set the cache keeps for its
         key: ``inferences``, or the set another process sharing the file
         wrote first."""
-        rec, line = encode_record(doc_id, inferences)
-        key = _key(rec)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is None:
-                stored = self._append(rec, line)
-                self._entries[key] = stored
-                return inferences if stored is rec else \
-                    _to_inference_set(stored)
-            if existing != rec:
-                raise ValueError(
-                    f"cache entry for {key} is immutable; refusing to "
-                    f"overwrite it with a different inference set")
-        return inferences  # idempotent re-put
+        return self.put_many([(doc_id, inferences)])[0]
 
-    def _append(self, rec: dict, line: bytes) -> dict:
-        """Append ``line``, the encoding of ``rec``, and return ``rec``,
-        unless another process appended its key since this cache last read
-        the file: then adopt and return that record instead."""
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            size = os.fstat(fd).st_size
-            new = os.pread(fd, max(size - self._end, 0), self._end)
-            done = _scan_records(new, self.path, self._entries, self._lines)
-            self._lines += new.count(b"\n", 0, done)
-            self._end += done
-            found = self._entries.get(_key(rec))
-            if found is not None:
-                return found
-            if self._end < size:
-                os.ftruncate(fd, self._end)  # drop the torn tail
-            elif size and os.pread(fd, 1, size - 1) != b"\n":
-                line = b"\n" + line  # terminate a complete last line
-            if os.write(fd, line) != len(line):
-                raise InferenceError(f"{self.path}: short write")
-            self._end += len(line)
-            self._lines += line.count(b"\n")
-        finally:
-            os.close(fd)  # releases the flock
-        return rec
+    def put_many(self, items) -> list[InferenceSet]:
+        """Store each ``(doc_id, inferences)`` of ``items`` as ``put`` would,
+        in order, and return the set the cache keeps for each.
+
+        The new records go to the file in one ``O_APPEND`` write under one
+        exclusive ``flock``. Before it writes, it reads what other processes
+        appended since this cache last read the file and adopts their
+        records; a key held already is not written again. A set that
+        differs from the one this cache wrote for its key, or from an
+        earlier item's, raises ``ValueError`` before any byte is written.
+        """
+        encoded = [encode_record(doc_id, inferences)
+                   for doc_id, inferences in items]
+        with self._lock:
+            fresh: dict[tuple, tuple[dict, bytes]] = {}
+            for rec, line in encoded:
+                key = _key(rec)
+                held = self._entries.get(key)
+                if held is None:
+                    held = fresh.setdefault(key, (rec, line))[0]
+                elif key not in self._written:
+                    continue  # another writer's set, adopted
+                if held != rec:
+                    raise ValueError(
+                        f"cache entry for {key} is immutable; refusing to "
+                        f"overwrite it with a different inference set")
+            if fresh:
+                with _naming_os_errors(self.path):
+                    fd = os.open(self.path,
+                                 os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+                    try:
+                        fcntl.flock(fd, fcntl.LOCK_EX)
+                        size = os.fstat(fd).st_size
+                        new = os.pread(fd, max(size - self._end, 0),
+                                       self._end)
+                        done = _scan_records(new, self.path, self._entries,
+                                             self._lines)
+                        self._lines += new.count(b"\n", 0, done)
+                        self._end += done
+                        mine = [key for key in fresh
+                                if key not in self._entries]
+                        lines = [fresh[key][1] for key in mine]
+                        if lines and self._end < size:
+                            os.ftruncate(fd, self._end)  # drop the torn tail
+                        elif lines and size and \
+                                os.pread(fd, 1, size - 1) != b"\n":
+                            lines.insert(0, b"\n")  # end a complete last line
+                        blob = b"".join(lines)
+                        if os.write(fd, blob) != len(blob):
+                            raise InferenceError(f"{self.path}: short write")
+                        self._end += len(blob)
+                        self._lines += blob.count(b"\n")
+                        for key in mine:
+                            self._entries[key] = fresh[key][0]
+                        self._written.update(mine)
+                    finally:
+                        os.close(fd)  # releases the flock
+            stored = [self._entries[_key(rec)] for rec, _ in encoded]
+        return [inferences if kept is rec else _to_inference_set(kept)
+                for (_, inferences), (rec, _), kept
+                in zip(items, encoded, stored)]
 
     def __len__(self):
         return len(self._entries)
@@ -470,13 +513,24 @@ def get_inferences(provider, mention, context_sentence: str,
 
 
 BULK_CONCURRENCY = 4
+# Most mentions one pool task generates and one ``put_many`` stores.
+BULK_CHUNK = 32
 
 
 def get_inferences_bulk(provider, corpus, config: GenerationConfig,
                         cache: Optional[InferenceCache] = None
                         ) -> dict[str, InferenceSet]:
-    """Every mention's inference set. Threads generate the cache misses; this
-    thread stores them in corpus order, so the cache bytes are reproducible."""
+    """Every mention's inference set.
+
+    The cache misses are cut into contiguous chunks of at most
+    ``BULK_CHUNK`` mentions, and of fewer when that leaves under
+    ``BULK_CONCURRENCY`` chunks, so that many generations stay in flight.
+    ``BULK_CONCURRENCY`` threads each generate a chunk in corpus order;
+    this thread stores each chunk with one ``put_many`` as the chunks
+    arrive in corpus order. So the cache bytes are reproducible, and a
+    failed generation loses only the chunks not yet stored: its error is
+    raised once every earlier chunk is in the cache.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
     mentions = corpus.mentions_in_order()
@@ -490,13 +544,18 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
             results[m.mention_id] = hit.truncated(config.k)
         else:
             pending.append(m)
+    size = max(1, min(BULK_CHUNK, len(pending) // BULK_CONCURRENCY))
+    chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
 
-    def generate(m):
-        return provider.generate(m, " ".join(corpus.sentence_of(m)), config)
+    def generate(chunk):
+        return [(m.doc_id, provider.generate(
+                    m, " ".join(corpus.sentence_of(m)), config))
+                for m in chunk]
 
     with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
-        for m, inf in zip(pending, pool.map(generate, pending)):
-            if cache is not None:
-                inf = cache.put(m.doc_id, inf)
-            results[m.mention_id] = inf.truncated(config.k)
+        for chunk, items in zip(chunks, pool.map(generate, chunks)):
+            stored = (cache.put_many(items) if cache is not None
+                      else [inf for _, inf in items])
+            for m, inf in zip(chunk, stored):
+                results[m.mention_id] = inf.truncated(config.k)
     return results

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from cscoref.commonsense import (GENERATION_CREDENTIAL_ENV, FixtureProvider,
+from cscoref.commonsense import (BULK_CHUNK, BULK_CONCURRENCY,
+                                 GENERATION_CREDENTIAL_ENV, FixtureProvider,
                                  GenerationConfig, GenerationServiceProvider,
                                  InferenceCache, InferenceError,
-                                 InferenceSet, PromptExemplar, format_prompt,
-                                 get_inferences, get_inferences_bulk,
-                                 parse_completion, read_records,
-                                 split_sentences)
-from cscoref.corpus import Mention
+                                 InferenceSet, PromptExemplar, encode_record,
+                                 format_prompt, get_inferences,
+                                 get_inferences_bulk, parse_completion,
+                                 read_records, split_sentences)
+from cscoref.corpus import Corpus, Document, Mention
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,6 +255,82 @@ def _put_many(path, prefix, n, barrier):
                                      (f"A {i}.",), "fixture"))
 
 
+def _run_to_the_end(workers):
+    """Start the processes and require each to exit 0 within 120 s."""
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        for w in workers:
+            if w.is_alive():
+                w.terminate()
+    assert [w.exitcode for w in workers] == [0] * len(workers)
+
+
+def _set(mention_id, before=None):
+    """The set of ``_record_line(mention_id)``, or one with another
+    before-sentence."""
+    return InferenceSet(mention_id, (before or f"B {mention_id}.",),
+                        (f"A {mention_id}.",), "fixture")
+
+
+def _numbered_corpus(numbers):
+    """One document with a sentence per number; mention ``m<i>`` (three
+    digits) is the number in sentence i."""
+    doc = Document("d1", "t0", "t0_s0",
+                   [["w", str(i), "."] for i in range(max(numbers) + 1)])
+    return Corpus([doc], [Mention(f"m{i:03d}", "d1", i, 1, 1, str(i))
+                          for i in numbers])
+
+
+class _TaggedProvider(CountingProvider):
+    """Sets whose before-sentence names the writer that generated them."""
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+    def generate(self, mention, context, config):
+        time.sleep(0.001)
+        return InferenceSet(mention.mention_id, (f"{self.tag} before.",),
+                            (f"{mention.mention_id} after.",), "fixture")
+
+
+def _fill_bulk(path, tag, numbers, out, barrier):
+    cache = InferenceCache(path)
+    barrier.wait()
+    results = get_inferences_bulk(_TaggedProvider(tag),
+                                  _numbered_corpus(numbers),
+                                  GenerationConfig(), cache)
+    Path(out).write_text(json.dumps({m: inf.before[0]
+                                     for m, inf in results.items()}),
+                         encoding="utf-8")
+
+
+# name: (file text before the cache loads, text another writer appends
+# after it loads, the sets put)
+PUT_CASES = {
+    "torn tail": (_record_line("m1") + _record_line("m2")[:25], "",
+                  [_set("m3"), _set("m4")]),
+    "unterminated complete record": (
+        _record_line("m1") + _record_line("m2").rstrip("\n"), "",
+        [_set("m3"), _set("m2"), _set("m4")]),
+    "key loaded with another set": (
+        _record_line("m1"), "", [_set("m1", "Mine."), _set("m2")]),
+    "key appended by another writer": (
+        _record_line("m1"), _record_line("m2"),
+        [_set("m2", "Mine."), _set("m3")]),
+    "torn tail left by another writer": (
+        _record_line("m1"), _record_line("m2") + _record_line("m3")[:20],
+        [_set("m3"), _set("m2", "Mine."), _set("m4")]),
+    "idempotent re-put": (_record_line("m1"), "",
+                          [_set("m1"), _set("m2"), _set("m3"), _set("m2")]),
+}
+
+
 class TestAppendOnlyLog:
     def test_concurrent_writers_keep_every_record(self, tmp_path):
         import multiprocessing
@@ -263,26 +340,87 @@ class TestAppendOnlyLog:
         prefixes = ("a", "b", "c", "d")
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(len(prefixes))
-        workers = [ctx.Process(target=_put_many,
-                               args=(path, prefix, n, barrier))
-                   for prefix in prefixes]
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(120)
-            assert not any(w.is_alive() for w in workers)
-        finally:
-            for w in workers:
-                if w.is_alive():
-                    w.terminate()
-        assert [w.exitcode for w in workers] == [0] * len(prefixes)
+        _run_to_the_end([ctx.Process(target=_put_many,
+                                     args=(path, prefix, n, barrier))
+                         for prefix in prefixes])
         cache = InferenceCache(path)
         assert len(cache) == len(prefixes) * n
         for prefix in prefixes:
             for i in range(n):
                 got = cache.get("d1", f"{prefix}{i}", "fixture")
                 assert got.before == (f"B {i}.",)
+
+    def test_concurrent_bulk_writers_with_overlapping_keys(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "cache.jsonl")
+        # writer w fills m<40w> .. m<40w+79>: two writers share each of
+        # m040 .. m159, and each sets its own before-sentence
+        spans = [list(range(40 * w, 40 * w + 80)) for w in range(4)]
+        outs = [tmp_path / f"results{w}.json" for w in range(len(spans))]
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(len(spans))
+        _run_to_the_end([ctx.Process(target=_fill_bulk,
+                                     args=(path, f"w{w}", span, str(out),
+                                           barrier))
+                         for w, (span, out) in enumerate(zip(spans, outs))])
+        records = [json.loads(line)
+                   for line in Path(path).read_text("utf-8").splitlines()]
+        assert sorted(r["mention_id"] for r in records) == [
+            f"m{i:03d}" for i in range(200)]
+        kept = {r["mention_id"]: r["before"][0] for r in records}
+        assert all(kept[f"m{i:03d}"] == "w0 before." for i in range(40))
+        assert all(kept[f"m{i:03d}"] == "w3 before."
+                   for i in range(160, 200))
+        # every writer uses the set that was kept, its own or adopted
+        for span, out in zip(spans, outs):
+            assert json.loads(out.read_text("utf-8")) == {
+                f"m{i:03d}": kept[f"m{i:03d}"] for i in span}
+
+    @pytest.mark.parametrize("initial, later, sets", PUT_CASES.values(),
+                             ids=list(PUT_CASES))
+    def test_put_many_equals_sequential_puts(self, tmp_path, initial, later,
+                                             sets):
+        items = [("d1", inf) for inf in sets]
+        outcomes = []
+        for name in ("each", "many"):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(initial, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a torn tail warns
+                cache = InferenceCache(path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(later)
+            if name == "each":
+                returned = [cache.put(*item) for item in items]
+            else:
+                returned = cache.put_many(items)
+            held = [cache.get("d1", f"m{i}", "fixture") for i in range(5)]
+            outcomes.append((returned, held, path.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("sets", [
+        [_set("m2"), _set("m1", "Other.")],
+        [_set("m2"), _set("m3"), _set("m2", "Other.")],
+    ], ids=["key written before", "earlier item"])
+    def test_put_many_conflict_raises_before_writing(self, tmp_path, sets):
+        path = tmp_path / "cache.jsonl"
+        cache = InferenceCache(path)
+        cache.put("d1", _set("m1"))
+        written = path.read_bytes()
+        with pytest.raises(ValueError, match="immutable"):
+            cache.put_many([("d1", inf) for inf in sets])
+        assert path.read_bytes() == written
+        assert len(cache) == 1
+
+    def test_write_error_names_the_path(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = InferenceCache(path)
+        path.mkdir()
+        with pytest.raises(InferenceError) as error:
+            cache.put("d1", _set("m1"))
+        assert str(error.value) == f"{path}: Is a directory"
+        assert len(cache) == 0
 
     def test_second_writer_adopts_first_writers_set(self, tmp_path):
         import multiprocessing
@@ -519,8 +657,6 @@ class TestBulk:
         assert results.keys() == again.keys()
 
     def test_cache_bytes_independent_of_completion_order(self, tmp_path):
-        from cscoref.corpus import Corpus, Document
-
         class SleepingProvider(CountingProvider):
             """Generations finish in an order drawn from ``seed``."""
             def __init__(self, seed):
@@ -535,19 +671,70 @@ class TestBulk:
                                     (f"{mention.mention_id} after.",),
                                     "fixture")
 
-        doc = Document("d1", "t0", "t0_s0",
-                       [["w", str(i), "."] for i in range(16)])
-        corpus = Corpus([doc], [Mention(f"m{i:02d}", "d1", i, 1, 1, str(i))
-                                for i in range(16)])
+        corpus = _numbered_corpus(range(16))
         blobs = []
         for seed in (0, 1):
             path = tmp_path / f"cache{seed}.jsonl"
             results = get_inferences_bulk(SleepingProvider(seed), corpus,
                                           GenerationConfig(),
                                           InferenceCache(path))
-            assert list(results) == [f"m{i:02d}" for i in range(16)]
+            assert list(results) == [f"m{i:03d}" for i in range(16)]
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("n", [3, 8, 4 * BULK_CHUNK])
+    def test_chunks_keep_every_thread_generating(self, n):
+        """Each generation waits until ``min(n, BULK_CONCURRENCY)`` are in
+        flight, which needs that many chunks of equal size."""
+        meeting = threading.Barrier(min(n, BULK_CONCURRENCY), timeout=10)
+
+        class MeetingProvider(CountingProvider):
+            def generate(self, mention, context, config):
+                meeting.wait()
+                return super().generate(mention, context, config)
+
+        results = get_inferences_bulk(MeetingProvider(),
+                                      _numbered_corpus(range(n)),
+                                      GenerationConfig())
+        assert len(results) == n
+
+    def test_interrupted_fill_resumes_to_the_same_bytes(self, tmp_path):
+        class LoggedFixtures(FixtureProvider):
+            def __init__(self, path):
+                super().__init__(path)
+                self.calls = []
+
+            def generate(self, mention, context, config):
+                self.calls.append(mention.mention_id)
+                return super().generate(mention, context, config)
+
+        n, fail_at = 100, 60
+        ids = [f"m{i:03d}" for i in range(n)]
+        corpus = _numbered_corpus(range(n))
+        lines = [encode_record("d1", InferenceSet(m, (f"{m} before.",),
+                                                  (f"{m} after.",),
+                                                  "fixture"))[1]
+                 for m in ids]
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_bytes(b"".join(lines))
+        holed = tmp_path / "holed.jsonl"
+        holed.write_bytes(b"".join(lines[:fail_at] + lines[fail_at + 1:]))
+        config = GenerationConfig()
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(InferenceError, match=f"'{ids[fail_at]}'"):
+            get_inferences_bulk(FixtureProvider(holed), corpus, config,
+                                InferenceCache(path))
+        size = min(BULK_CHUNK, n // BULK_CONCURRENCY)
+        stored = fail_at - fail_at % size  # the chunks before the failing one
+        assert 0 < stored < fail_at
+        assert [key[1] for key in read_records(path)] == ids[:stored]
+        resumed = LoggedFixtures(fixtures)
+        get_inferences_bulk(resumed, corpus, config, InferenceCache(path))
+        assert sorted(resumed.calls) == ids[stored:]
+        whole = tmp_path / "whole.jsonl"
+        get_inferences_bulk(FixtureProvider(fixtures), corpus, config,
+                            InferenceCache(whole))
+        assert path.read_bytes() == whole.read_bytes()
 
 
 class TestServiceBackedDataset:

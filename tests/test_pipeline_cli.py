@@ -830,6 +830,30 @@ class TestCliWiring:
         assert f"{cache}:3: " in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["cache.jsonl", "fixtures.jsonl"])
+    def test_path_that_is_a_directory_exits_three(self, tmp_path, capsys,
+                                                  name):
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        path = tmp_path / name
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: InferenceError: {path}: Is a directory\n")
+
+    def test_cache_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        ini.write_text(ini.read_text("utf-8").replace(
+            "cache.jsonl", "absent/cache.jsonl"), encoding="utf-8")
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, args", [
         ("score", ["--clustering", "clustering.jsonl"]),
         ("explain", ["--checkpoint", "checkpoint.bin", "--pair", "a,b"]),
