@@ -522,14 +522,15 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
                         ) -> dict[str, InferenceSet]:
     """Every mention's inference set.
 
-    The cache misses are cut into contiguous chunks of at most
-    ``BULK_CHUNK`` mentions, and of fewer when that leaves under
-    ``BULK_CONCURRENCY`` chunks, so that many generations stay in flight.
-    ``BULK_CONCURRENCY`` threads each generate a chunk in corpus order;
-    this thread stores each chunk with one ``put_many`` as the chunks
-    arrive in corpus order. So the cache bytes are reproducible, and a
-    failed generation loses only the chunks not yet stored: its error is
-    raised once every earlier chunk is in the cache.
+    The cache misses are cut into contiguous chunks of corpus order: a
+    multiple of ``BULK_CONCURRENCY`` chunks, as few as keep each at most
+    ``BULK_CHUNK`` mentions, with sizes that differ by at most one. So the
+    ``BULK_CONCURRENCY`` threads stay busy until the last round ends. Each
+    thread generates a chunk in corpus order; this thread stores each chunk
+    with one ``put_many`` as the chunks arrive in corpus order. So the cache
+    bytes are reproducible. A failed generation is raised once every
+    mention before it is in the cache, and chunks after the failing one
+    stop at their next mention; so do all chunks when a store fails.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -544,18 +545,40 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
             results[m.mention_id] = hit.truncated(config.k)
         else:
             pending.append(m)
-    size = max(1, min(BULK_CHUNK, len(pending) // BULK_CONCURRENCY))
-    chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
+    n = len(pending)
+    count = BULK_CONCURRENCY * -(-n // (BULK_CONCURRENCY * BULK_CHUNK))
+    chunks = [pending[i * n // count:(i + 1) * n // count]
+              for i in range(count)]
+    chunks = [chunk for chunk in chunks if chunk]
+    failed = [len(chunks)]  # index of the first chunk known to have failed
+    failed_lock = threading.Lock()
 
-    def generate(chunk):
-        return [(m.doc_id, provider.generate(
-                    m, " ".join(corpus.sentence_of(m)), config))
-                for m in chunk]
+    def generate(index):
+        """The chunk's generated prefix, and the error that ended it."""
+        items = []
+        for m in chunks[index]:
+            if index > failed[0]:
+                break  # an earlier chunk failed: these would be discarded
+            try:
+                items.append((m.doc_id, provider.generate(
+                    m, " ".join(corpus.sentence_of(m)), config)))
+            except Exception as exc:
+                with failed_lock:
+                    failed[0] = min(failed[0], index)
+                return items, exc
+        return items, None
 
     with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
-        for chunk, items in zip(chunks, pool.map(generate, chunks)):
-            stored = (cache.put_many(items) if cache is not None
-                      else [inf for _, inf in items])
-            for m, inf in zip(chunk, stored):
-                results[m.mention_id] = inf.truncated(config.k)
+        try:
+            for chunk, (items, error) in zip(
+                    chunks, pool.map(generate, range(len(chunks)))):
+                stored = (cache.put_many(items) if cache is not None
+                          else [inf for _, inf in items])
+                for m, inf in zip(chunk, stored):
+                    results[m.mention_id] = inf.truncated(config.k)
+                if error is not None:
+                    raise error
+        except BaseException:
+            failed[0] = -1  # nothing more is stored: stop every chunk
+            raise
     return results

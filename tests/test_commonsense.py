@@ -682,7 +682,7 @@ class TestBulk:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("n", [3, 8, 4 * BULK_CHUNK])
+    @pytest.mark.parametrize("n", [3, 8, 4 * BULK_CHUNK, 5 * BULK_CHUNK])
     def test_chunks_keep_every_thread_generating(self, n):
         """Each generation waits until ``min(n, BULK_CONCURRENCY)`` are in
         flight, which needs that many chunks of equal size."""
@@ -724,17 +724,63 @@ class TestBulk:
         with pytest.raises(InferenceError, match=f"'{ids[fail_at]}'"):
             get_inferences_bulk(FixtureProvider(holed), corpus, config,
                                 InferenceCache(path))
-        size = min(BULK_CHUNK, n // BULK_CONCURRENCY)
-        stored = fail_at - fail_at % size  # the chunks before the failing one
-        assert 0 < stored < fail_at
-        assert [key[1] for key in read_records(path)] == ids[:stored]
+        assert [key[1] for key in read_records(path)] == ids[:fail_at]
         resumed = LoggedFixtures(fixtures)
         get_inferences_bulk(resumed, corpus, config, InferenceCache(path))
-        assert sorted(resumed.calls) == ids[stored:]
+        assert sorted(resumed.calls) == ids[fail_at:]
         whole = tmp_path / "whole.jsonl"
         get_inferences_bulk(FixtureProvider(fixtures), corpus, config,
                             InferenceCache(whole))
         assert path.read_bytes() == whole.read_bytes()
+
+
+    def test_chunks_after_a_failure_stop_generating(self, tmp_path):
+        """The first mention of each of the 4 chunks meets the others before
+        the first chunk's fails; the later chunks then stop at their next
+        mention instead of generating the rest of their chunk."""
+        n = BULK_CONCURRENCY * BULK_CHUNK
+        meeting = threading.Barrier(BULK_CONCURRENCY, timeout=10)
+
+        class FailingProvider(CountingProvider):
+            def generate(self, mention, context, config):
+                number = int(mention.mention_id[1:])
+                if number % BULK_CHUNK == 0:
+                    meeting.wait()
+                    if number == 0:
+                        raise InferenceError("m000 failed")
+                else:
+                    time.sleep(0.05)
+                return super().generate(mention, context, config)
+
+        provider = FailingProvider()
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(InferenceError, match="m000"):
+            get_inferences_bulk(provider, _numbered_corpus(range(n)),
+                                GenerationConfig(), InferenceCache(path))
+        assert provider.calls <= 2 * BULK_CONCURRENCY
+        assert not path.exists()  # nothing before the failure to store
+
+
+    def test_failed_store_stops_generating(self, tmp_path):
+        """The first chunk's store fails while the threads generate the
+        second round of chunks; they stop instead of finishing it."""
+        n = 2 * BULK_CONCURRENCY * BULK_CHUNK
+
+        class SlowProvider(CountingProvider):
+            def generate(self, mention, context, config):
+                time.sleep(0.002)
+                return super().generate(mention, context, config)
+
+        class FullDisk(InferenceCache):
+            def put_many(self, items):
+                raise InferenceError(f"{self.path}: no space left")
+
+        provider = SlowProvider()
+        with pytest.raises(InferenceError, match="no space left"):
+            get_inferences_bulk(provider, _numbered_corpus(range(n)),
+                                GenerationConfig(),
+                                FullDisk(tmp_path / "cache.jsonl"))
+        assert provider.calls < n // 2 + BULK_CHUNK
 
 
 class TestServiceBackedDataset:
