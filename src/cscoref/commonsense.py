@@ -10,7 +10,9 @@ append-only log: each record is one line, and each batch of records is one
 append under an exclusive ``flock``, so several processes can fill one
 cache file; ``read_records`` is the one reader of that format, for caches
 and fixture files alike. ``get_inferences_bulk`` generates a corpus's
-missing sets in chunks on a thread pool and stores each chunk as one batch.
+missing sets in chunks and stores each chunk as one batch; the chunks run
+on a thread pool for a provider that waits on a service, and on the
+calling thread for the fixture and synthetic providers, which do not.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import re
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
+from operator import itemgetter
 from typing import Optional
 
 import requests
+
+from .corpus import all_strings, naming_os_errors
 
 GENERATION_CREDENTIAL_ENV = "CSCOREF_GENERATION_API_KEY"
 
@@ -62,11 +67,11 @@ class InferenceSet:
     provenance: str
 
     def __post_init__(self):
-        object.__setattr__(self, "before",
-                           tuple(s.strip() for s in self.before))
-        object.__setattr__(self, "after",
-                           tuple(s.strip() for s in self.after))
-        if any(not s for s in self.before + self.after):
+        before = tuple(map(str.strip, self.before))
+        after = tuple(map(str.strip, self.after))
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
+        if "" in before or "" in after:
             raise ValueError("inference sentences must be non-empty")
         if not self.provenance:
             raise ValueError("provenance must be set")
@@ -169,27 +174,35 @@ def parse_completion(text: str, k: int,
     return before, after
 
 
-_RECORD_FIELDS = frozenset(("doc_id", "mention_id", "before", "after",
-                           "provenance"))
+_record_fields = itemgetter("doc_id", "mention_id", "provenance", "before",
+                            "after")
+
+
+_DECODER = json.JSONDecoder()
 
 
 def _parse_line(raw: bytes):
     """The JSON value of one line, or None when it does not decode."""
     try:
-        return json.loads(raw.decode("utf-8"))
+        # json.loads less its wrappers: JSON whitespace around one value
+        text = raw.decode("utf-8").strip(" \t\n\r")
+        value, end = _DECODER.raw_decode(text)
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
+    return value if end == len(text) else None
 
 
 def _is_record(rec) -> bool:
-    if not (isinstance(rec, dict) and rec.keys() >= _RECORD_FIELDS):
+    if not isinstance(rec, dict):
         return False
-    before, after = rec["before"], rec["after"]
-    return (isinstance(rec["doc_id"], str)
-            and isinstance(rec["mention_id"], str)
-            and isinstance(rec["provenance"], str)
+    try:
+        doc_id, mention_id, provenance, before, after = _record_fields(rec)
+    except KeyError:
+        return False
+    return (isinstance(doc_id, str) and isinstance(mention_id, str)
+            and isinstance(provenance, str)
             and isinstance(before, list) and isinstance(after, list)
-            and all(isinstance(s, str) for s in before + after))
+            and all_strings(before) and all_strings(after))
 
 
 def _key(rec: dict) -> tuple:
@@ -223,23 +236,11 @@ def _scan_records(data: bytes, path, entries: dict, lineno: int = 0) -> int:
     return len(data)
 
 
-@contextmanager
-def _naming_os_errors(path):
-    """Raise an ``OSError`` other than ``FileNotFoundError`` (a directory,
-    no permission, a full disk) as an ``InferenceError`` naming ``path``."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise InferenceError(f"{path}: {exc.strerror or exc}") from exc
-
-
 def _load(path, entries: dict) -> tuple[int, int]:
     """Read ``path`` into ``entries``; return the length of its complete
     lines in bytes and in lines. The file is read under a shared ``flock``,
     so a cooperating writer's append is seen whole or not at all."""
-    with _naming_os_errors(path), open(path, "rb") as fh:
+    with naming_os_errors(path, InferenceError), open(path, "rb") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
         data = fh.read()
     end = _scan_records(data, path, entries)
@@ -266,25 +267,32 @@ def read_records(path) -> dict[tuple, dict]:
     return entries
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# a record's line with its five fields in this order
+_LINE = ('{{"doc_id":{},"mention_id":{},"before":[{}],"after":[{}],'
+         '"provenance":{}}}\n')
 
 
 def encode_record(doc_id: str,
                   inferences: InferenceSet) -> tuple[dict, bytes]:
     """The record of ``inferences`` and its line in a cache or fixture
-    file: compact UTF-8 JSON ending in a newline."""
+    file: the bytes of ``json.dumps(record, ensure_ascii=False,
+    separators=(",", ":"))`` and a newline. The json module's own writer
+    quotes each string inside a fixed frame, which saves building an
+    encoder per record."""
     rec = {"doc_id": doc_id, "mention_id": inferences.mention_id,
            "before": list(inferences.before),
            "after": list(inferences.after),
            "provenance": inferences.provenance}
-    return rec, _ENCODER.encode(rec).encode("utf-8") + b"\n"
+    line = _LINE.format(_quote(doc_id), _quote(inferences.mention_id),
+                        ",".join(map(_quote, inferences.before)),
+                        ",".join(map(_quote, inferences.after)),
+                        _quote(inferences.provenance))
+    return rec, line.encode("utf-8")
 
 
 def _to_inference_set(rec: dict) -> InferenceSet:
-    return InferenceSet(mention_id=rec["mention_id"],
-                        before=tuple(rec["before"]),
-                        after=tuple(rec["after"]),
-                        provenance=rec["provenance"])
+    return InferenceSet(rec["mention_id"], rec["before"], rec["after"],
+                        rec["provenance"])
 
 
 class InferenceCache:
@@ -357,7 +365,7 @@ class InferenceCache:
                         f"cache entry for {key} is immutable; refusing to "
                         f"overwrite it with a different inference set")
             if fresh:
-                with _naming_os_errors(self.path):
+                with naming_os_errors(self.path, InferenceError):
                     fd = os.open(self.path,
                                  os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
                     try:
@@ -397,12 +405,20 @@ class InferenceCache:
 
 
 class FixtureProvider:
-    """Serves inference sets from a fixture file (same format as the cache)."""
+    """Serves inference sets from a fixture file (same format as the cache).
+
+    Each record becomes one set at load, labelled ``"fixture"`` whatever
+    provenance the file gives it; ``generate`` serves that set cut to k.
+    """
+
+    waits_on_service = False  # bulk fills generate on the calling thread
 
     def __init__(self, path, strict: bool = True):
         self.strict = strict
-        self._by_mention = {rec["mention_id"]: _to_inference_set(rec)
-                            for rec in read_records(path).values()}
+        self._by_mention = {
+            rec["mention_id"]: InferenceSet(rec["mention_id"], rec["before"],
+                                            rec["after"], "fixture")
+            for rec in read_records(path).values()}
 
     def fingerprint(self, config: GenerationConfig) -> str:
         return "fixture"
@@ -419,8 +435,7 @@ class FixtureProvider:
                 f"no fixture for mention {mention.mention_id!r}; returning "
                 f"an empty set", stacklevel=2)
             return InferenceSet(mention.mention_id, (), (), "fixture")
-        return InferenceSet(mention.mention_id, found.before, found.after,
-                            "fixture").truncated(config.k)
+        return found.truncated(config.k)
 
 
 class GenerationServiceProvider:
@@ -531,6 +546,10 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
     bytes are reproducible. A failed generation is raised once every
     mention before it is in the cache, and chunks after the failing one
     stop at their next mention; so do all chunks when a store fails.
+
+    A provider whose ``waits_on_service`` is false has no wait for threads
+    to overlap: its chunks are generated on this thread, one after another,
+    and stored the same way, so the bytes are the same.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -568,17 +587,22 @@ def get_inferences_bulk(provider, corpus, config: GenerationConfig,
                 return items, exc
         return items, None
 
-    with ThreadPoolExecutor(BULK_CONCURRENCY) as pool:
-        try:
-            for chunk, (items, error) in zip(
-                    chunks, pool.map(generate, range(len(chunks)))):
-                stored = (cache.put_many(items) if cache is not None
-                          else [inf for _, inf in items])
-                for m, inf in zip(chunk, stored):
-                    results[m.mention_id] = inf.truncated(config.k)
-                if error is not None:
-                    raise error
-        except BaseException:
-            failed[0] = -1  # nothing more is stored: stop every chunk
-            raise
+    pool = (ThreadPoolExecutor(BULK_CONCURRENCY)
+            if getattr(provider, "waits_on_service", True) else None)
+    try:
+        generated = (map if pool is None else pool.map)(
+            generate, range(len(chunks)))
+        for chunk, (items, error) in zip(chunks, generated):
+            stored = (cache.put_many(items) if cache is not None
+                      else [inf for _, inf in items])
+            for m, inf in zip(chunk, stored):
+                results[m.mention_id] = inf.truncated(config.k)
+            if error is not None:
+                raise error
+    except BaseException:
+        failed[0] = -1  # nothing more is stored: stop every chunk
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return results

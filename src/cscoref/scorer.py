@@ -35,6 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from .corpus import naming_os_errors
+
 MODES = ("baseline", "intra", "inter")
 
 BLOCK_ORDER = ("w_alpha", "width_table", "W_q_before", "W_k_before",
@@ -685,7 +687,13 @@ def save_checkpoint(params: ModelParameters, path):
 
 
 def load_checkpoint(path) -> ModelParameters:
-    with open(path, "rb") as fh:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A missing file raises ``FileNotFoundError``; a file that cannot be
+    read otherwise (a directory, no permission), is not a checkpoint, or
+    is truncated or corrupt raises ``ScorerError``.
+    """
+    with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
         magic = fh.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ScorerError(f"{path}: not a checkpoint file")

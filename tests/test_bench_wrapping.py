@@ -24,3 +24,37 @@ def test_layers_install_and_unwrap(monkeypatch):
         tracer.unwrap_all()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, attr
+
+
+def test_provider_calls_counted_per_mention(monkeypatch, tmp_path, capsys):
+    """A cold fill counts one ``commonsense.provider_calls`` per mention
+    and the warm pass none: the benchmark's warm-pass check counts calls
+    the same way, by wrapping ``FixtureProvider.generate``."""
+    from cscoref import pipeline
+    from cscoref.synthgen import SyntheticSpec
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    spec = SyntheticSpec(n_topics=2, clusters_per_topic=3,
+                         mentions_per_cluster=3, seed=5)
+    corpus_path = tmp_path / "corpus.jsonl"
+    fixtures_path = tmp_path / "fixtures.jsonl"
+    pipeline.cmd_synth(spec, corpus_path, fixtures_path)
+    config = pipeline.preset("desk")
+    config.corpus_paths = {"train": str(corpus_path)}
+    config.commonsense = pipeline.CommonsenseConfig(
+        provider="fixture", fixtures={"train": str(fixtures_path)},
+        cache_path=str(tmp_path / "cache.jsonl"))
+    mentions = len(pipeline.load_corpus(corpus_path).mentions)
+    layers.install(tracer)
+    try:
+        for run in ("cold", "warm"):
+            tracer.run_id = run
+            pipeline.cmd_gen_inferences(config, "train")
+    finally:
+        tracer.unwrap_all()
+    assert mentions > 0
+    assert tracer.counters[("cold", "commonsense.provider_calls")] \
+        == mentions
+    assert ("warm", "commonsense.provider_calls") not in tracer.counters

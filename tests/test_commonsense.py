@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cscoref.commonsense import (BULK_CHUNK, BULK_CONCURRENCY,
                                  GENERATION_CREDENTIAL_ENV, FixtureProvider,
@@ -232,6 +233,23 @@ class TestCache:
             assert hit.before == five[:2] and hit.after == five[:2]
         assert provider.calls == 1
         assert InferenceCache(path).get("d1", "m1", "fixture").before == five
+
+
+SENTENCE = st.text(min_size=1).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc_id=st.text(), mention_id=st.text(),
+       before=st.lists(SENTENCE, max_size=4),
+       after=st.lists(SENTENCE, max_size=4),
+       provenance=st.text(min_size=1))
+def test_encoded_line_is_what_json_dumps_writes(doc_id, mention_id, before,
+                                                after, provenance):
+    rec, line = encode_record(doc_id, InferenceSet(mention_id, before, after,
+                                                   provenance))
+    assert line == (json.dumps(rec, ensure_ascii=False,
+                               separators=(",", ":")) + "\n").encode("utf-8")
+    assert json.loads(line) == rec
 
 
 def _record_line(mention_id, doc_id="d1"):
@@ -538,6 +556,45 @@ class TestFixtureProvider:
         with pytest.warns(UserWarning, match="m1"):
             result = provider.generate(_mention(), "ctx", GenerationConfig())
         assert result.before == () and result.after == ()
+
+    @pytest.mark.parametrize("side, sentences", [
+        ("before", ["b1.", 2]), ("after", [None]), ("after", [["a1."]])])
+    def test_non_string_sentence_named_at_its_line(self, tmp_path, side,
+                                                   sentences):
+        path = tmp_path / "fixtures.jsonl"
+        record = {"doc_id": "d1", "mention_id": "m2", "before": ["b2."],
+                  "after": ["a2."], "provenance": "fixture", side: sentences}
+        path.write_text(_record_line("m1") + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(InferenceError) as exc:
+            FixtureProvider(path)
+        assert str(exc.value) == (
+            f"{path}:2: line is not a record: doc_id, mention_id and "
+            f"provenance must be strings, before and after lists of strings")
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_whitespace_only_sentence_rejected(self, tmp_path, side):
+        path = tmp_path / "fixtures.jsonl"
+        record = {"doc_id": "d1", "mention_id": "m1", "before": ["b1."],
+                  "after": ["a1."], "provenance": "fixture",
+                  side: ["ok.", " \t "]}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="^inference sentences must be non-empty$"):
+            FixtureProvider(path)
+
+    def test_served_sets_cut_to_k_and_labelled_fixture(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        record = {"doc_id": "d1", "mention_id": "m1",
+                  "before": [" b1. ", "b2.", "b3."], "after": ["a1."],
+                  "provenance": "synthetic"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        provider = FixtureProvider(path)
+        result = provider.generate(_mention(), "ctx", GenerationConfig(k=2))
+        assert result == InferenceSet("m1", ("b1.", "b2."), ("a1.",),
+                                      "fixture")
+        whole = provider.generate(_mention(), "ctx", GenerationConfig(k=3))
+        assert whole.before == ("b1.", "b2.", "b3.")
 
 
 class _GenHandler(BaseHTTPRequestHandler):

@@ -91,6 +91,51 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="empty"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        ([json.dumps({"doc": dict(json.loads(DOC_LINE)["doc"], sentences=[
+            ["hello", "world"], ["a", "", "b"]])})],
+         "line 1: document 'd1': sentence 1 has a non-string or empty "
+         "token"),
+        ([json.dumps({"doc": dict(json.loads(DOC_LINE)["doc"], sentences=[
+            ["hello", 7]])})],
+         "line 1: document 'd1': sentence 0 has a non-string or empty "
+         "token"),
+        ([DOC_LINE, mention_line(zeta=1, extra="x")],
+         "line 2: unknown field(s) ['extra', 'zeta'] in mention record"),
+        ([DOC_LINE, json.dumps({"mention": {"mention_id": "m1",
+                                            "doc_id": "d1",
+                                            "sentence_index": 0,
+                                            "token_start": 0}})],
+         "line 2: missing field(s) ['text', 'token_end'] in mention "
+         "record"),
+    ])
+    def test_rejections_name_line_and_field(self, tmp_path, lines,
+                                            message):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff" + DOC_LINE, DOC_LINE + " x", DOC_LINE + DOC_LINE,
+        "{not json", "[1, 2", "1 2", '"unterminated'])
+    def test_invalid_json_named_as_json_loads_names_it(self, tmp_path,
+                                                        line):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [DOC_LINE, line])
+        with pytest.raises(json.JSONDecodeError) as reference:
+            json.loads(line.strip())
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == (
+            f"line 2: not valid JSON ({reference.value.msg})")
+
+    def test_directory_named(self, tmp_path):
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(tmp_path)
+        assert str(exc.value) == f"{tmp_path}: Is a directory"
+
 
 class TestRoundTrip:
     def test_write_load_bytes(self, tmp_path, tiny_corpus):

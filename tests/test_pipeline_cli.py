@@ -1,6 +1,9 @@
+import concurrent.futures
+import hashlib
 import json
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,11 +12,12 @@ import pytest
 from cscoref import cli, pipeline
 from cscoref.cluster import read_clustering, write_clustering
 from cscoref.corpus import Clustering, load_corpus
-from cscoref.commonsense import GenerationConfig
+from cscoref.commonsense import FixtureProvider, GenerationConfig
 from cscoref.metrics import EvalOptions
 from cscoref.pipeline import (ConfigError, load_run_config, mean_std,
                               preset)
-from cscoref.synthgen import SyntheticSpec, generate_synthetic
+from cscoref.synthgen import (SyntheticProvider, SyntheticSpec,
+                              generate_synthetic)
 
 
 def synth_args(tmp_path, seed=3, **kwargs):
@@ -677,6 +681,41 @@ class TestRuntimeFailures:
         assert manifest["error"]["type"] == "ScorerError"
         assert "checkpoint" in manifest["error"]["message"]
 
+    def test_checkpoint_that_is_a_directory_exits_three_run_failed(
+            self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.mkdir()
+        out = tmp_path / "pred"
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert code == pipeline.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: ScorerError: {ckpt}: Is a directory\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"type": "ScorerError",
+                                     "message": f"{ckpt}: Is a directory"}
+
+    def test_corpus_that_is_a_directory_exits_two_run_failed(
+            self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        corpus = Path(config.corpus_paths["test"])
+        corpus.unlink()
+        corpus.mkdir()
+        out = tmp_path / "pred"
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                         "--tau", "0.5"])
+        assert code == pipeline.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: Is a directory\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["type"] == "CorpusFormatError"
+
     def test_non_finite_loss_exits_three_run_failed(
             self, tmp_path, capsys, monkeypatch):
         config, _ = small_run_config(tmp_path)
@@ -843,6 +882,17 @@ class TestCliWiring:
         assert capsys.readouterr().err == (
             f"error: InferenceError: {path}: Is a directory\n")
 
+    def test_corpus_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        corpus = Path(config.corpus_paths["train"])
+        corpus.unlink()
+        corpus.mkdir()
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: Is a directory\n")
+
     def test_cache_in_a_missing_directory_exits_two(self, tmp_path, capsys):
         config, _ = small_run_config(tmp_path)
         ini = gen_ini(tmp_path, config)
@@ -881,3 +931,70 @@ class TestCliWiring:
         for command in ("synth", "gen-inferences", "train", "predict",
                         "score", "explain", "gradcheck"):
             assert command in result.stdout
+
+
+# sha256 of the cache that ``cmd_gen_inferences`` writes for PIN_SPEC's
+# mentions, computed at commit 68b2379 (chunks generated on the thread
+# pool, one fixture set built per served mention). How the sets are built
+# and on which thread may change; the bytes may not.
+PIN_SPEC = SyntheticSpec(n_topics=3, clusters_per_topic=6,
+                         mentions_per_cluster=6, hard_fraction=0.5,
+                         distractor_rate=0.5, seed=29)
+PINNED_CACHE_SHA256 = {
+    "fixture": ("0bc2fe1825be902bc96e221ec9ed4b60"
+                "337a4646a5313bf322a038646a1cafa8"),
+    "synthetic": ("7c3a658e1430d3232ff5ed8446d33693"
+                  "80a3f432cea86e60f88a4ac7448a2bc5"),
+}
+
+
+def pinned_fill_config(tmp_path, provider):
+    corpus_path = tmp_path / "corpus.jsonl"
+    fixtures_path = tmp_path / "fixtures.jsonl"
+    pipeline.cmd_synth(PIN_SPEC, corpus_path, fixtures_path)
+    config = preset("desk")
+    config.corpus_paths = {"train": str(corpus_path)}
+    config.commonsense = pipeline.CommonsenseConfig(
+        provider=provider, fixtures={"train": str(fixtures_path)},
+        synthetic_spec=PIN_SPEC, cache_path=str(tmp_path / "cache.jsonl"))
+    return config
+
+
+def cache_sha256(config):
+    return hashlib.sha256(
+        Path(config.commonsense.cache_path).read_bytes()).hexdigest()
+
+
+class TestPinnedCacheBytes:
+    @pytest.mark.parametrize("provider", ["fixture", "synthetic"])
+    def test_cold_fill_bytes_then_warm_pass_calls_nothing(
+            self, tmp_path, capsys, monkeypatch, provider):
+        config = pinned_fill_config(tmp_path, provider)
+        assert pipeline.cmd_gen_inferences(config, "train") == 0
+        assert cache_sha256(config) == PINNED_CACHE_SHA256[provider]
+        owner = {"fixture": FixtureProvider,
+                 "synthetic": SyntheticProvider}[provider]
+        calls = []
+        generate = owner.generate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].mention_id)
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "generate", counted)
+        assert pipeline.cmd_gen_inferences(config, "train") == 0
+        assert calls == []
+        assert cache_sha256(config) == PINNED_CACHE_SHA256[provider]
+
+    @pytest.mark.parametrize("provider", ["fixture", "synthetic"])
+    def test_local_providers_fill_without_threads(self, tmp_path, capsys,
+                                                  monkeypatch, provider):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a local provider's fill started a thread")
+
+        config = pinned_fill_config(tmp_path, provider)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            no_threads)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        assert pipeline.cmd_gen_inferences(config, "train") == 0
+        assert cache_sha256(config) == PINNED_CACHE_SHA256[provider]
