@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -56,6 +57,8 @@ MENTION_FIELDS = frozenset(("mention_id", "doc_id", "sentence_index",
                             "gold_cluster_id"))
 MENTION_REQUIRED = MENTION_FIELDS - {"gold_cluster_id"}
 _DECODER = json.JSONDecoder()
+# the surrogates that errors="surrogateescape" decodes bad bytes to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -247,9 +250,30 @@ def load_corpus(path) -> Corpus:
     """Load a JSON-lines corpus file, validating every record.
 
     A missing file raises ``FileNotFoundError``; any other file that cannot
-    be read (a directory, no permission) raises ``CorpusFormatError``
-    naming the path.
+    be read (a directory, no permission) or that is not valid UTF-8 raises
+    ``CorpusFormatError`` naming the path.
     """
+    try:
+        return _read_corpus(path)
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path)
+        where = path if line is None else f"{path}:{line}"
+        raise CorpusFormatError(f"{where}: not valid UTF-8") from exc
+
+
+def _undecodable_line(path) -> Optional[int]:
+    """The number of the first line of ``path`` that is not valid UTF-8,
+    counted as ``_read_corpus`` counts lines, or None if the file has
+    changed since and decodes. Text decoding reads ahead in blocks, so
+    only this second pass, run on the error path, finds the line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if _ESCAPED_BYTE.search(line):
+                return lineno
+    return None
+
+
+def _read_corpus(path) -> Corpus:
     documents: list[Document] = []
     mentions: list[Mention] = []
     with naming_os_errors(path, CorpusFormatError), \

@@ -17,8 +17,11 @@ query is always the ctx the cs block is attached to).
 
 Training runs the first layer pair-major (``forward_batch``/
 ``backward_batch``); scoring (``score_pairs``) projects it once per mention
-outside inter mode. Both share one span and attention stage,
-``attention_rows``.
+outside inter mode. Both share one selection stage, ``attention_rows``
+(span reps, attention rows, queries and sentence reps), and then attend
+with their own kernel: training with ``attention_forward``, which keeps the
+key projections its backward pass reads, and scoring from the query side
+with ``query_side_attention``, which projects each query once and no key.
 
 ``ModelParameters`` holds every block as a view into one contiguous
 float64 vector in BLOCK_ORDER, and gradients use the same container: the
@@ -445,10 +448,12 @@ class PairDataset:
     inference sentence, whose text is ``sentences[row]``.
     ``before_idx``/``after_idx`` map each mention row to its (up to k)
     sentence rows, padded with -1. A pair's commonsense blocks depend only on
-    (query mention row, source mention row), so ``attention_rows`` attends
-    once per distinct such pair in a batch: once per mention in intra mode,
-    once per ordered pair in inter mode. Scoring in the other modes projects
-    the first layer once per mention too; training multiplies it per pair.
+    (query mention row, source mention row), so ``attention_rows`` selects
+    one attention row per distinct such pair in a batch: one per mention in
+    intra mode, one per ordered pair in inter mode. Training attends per row
+    through ``attention_forward``; scoring attends from the query side, once
+    per query mention, and projects the first layer once per row too, where
+    training multiplies it per pair.
     """
     mention_ids: list
     row_of: dict
@@ -469,11 +474,17 @@ class PairDataset:
 
 def attention_rows(params: ModelParameters, data: PairDataset,
                    qi: np.ndarray, qj: np.ndarray) -> dict:
-    """Span reps and attention for pairs (qi, qj), once per attention row:
-    each distinct (query, source) among the 2n stacked mentions (c < n is
-    pair c's first, n + c its second), sorted. ``inverse[c]`` is stacked row
-    c's attention row, ``att_q`` each row's query, ``Q = span_reps[att_q]``
-    and ``cs`` the [before, after] vectors per row (None in baseline)."""
+    """The selection stage both attention kernels share, for pairs (qi, qj).
+
+    There is one attention row per distinct (query, source) among the 2n
+    stacked mentions (c < n is pair c's first, n + c its second), sorted.
+    ``inverse[c]`` is stacked row c's attention row, ``att_q`` each row's
+    query mention and ``Q = span_reps[att_q]``. Outside baseline,
+    ``sent_reps`` holds every inference sentence's representation and
+    ``att[rel]`` each row's sentence indices ``idx`` (k of them, padded with
+    -1) and their ``kmask``; ``att`` is None in baseline. The caller
+    attends: ``forward_batch`` through ``attention_forward``,
+    ``score_pairs`` through ``query_side_attention``."""
     mode = params.dims.mode
     span_reps, span_cache = span_reps_forward(
         data.span_tensors, params.w_alpha, params.width_table)
@@ -482,26 +493,35 @@ def attention_rows(params: ModelParameters, data: PairDataset,
     m = len(data.span_tensors)
     keys, inverse = np.unique(q_rows * m + src_rows, return_inverse=True)
     att_q, att_src = np.divmod(keys, m)
-    Q = span_reps[att_q]
     rows = {"span_cache": span_cache, "att_q": att_q, "inverse": inverse,
-            "Q": Q, "cs": None}
+            "Q": span_reps[att_q], "att": None}
     if mode == "baseline":
         return rows
     sent_reps, sent_cache = span_reps_forward(
         data.sent_tensors, params.w_alpha, params.width_table)
-    att, outs = {}, []
+    att = {}
     for rel in ("before", "after"):
         idx = getattr(data, f"{rel}_idx")[att_src]
-        kmask = idx >= 0
-        Kr = sent_reps[idx.clip(min=0)] * kmask[:, :, None]
-        out, att_cache = attention_forward(Q, Kr, kmask,
-                                           getattr(params, f"W_q_{rel}"),
-                                           getattr(params, f"W_k_{rel}"))
-        att[rel] = {"cache": att_cache, "idx": idx, "kmask": kmask}
-        outs.append(out)
-    rows.update({"cs": np.concatenate(outs, axis=1), "att": att,
+        att[rel] = {"idx": idx, "kmask": idx >= 0}
+    rows.update({"att": att, "sent_reps": sent_reps,
                  "sent_cache": sent_cache})
     return rows
+
+
+def query_side_attention(Q: np.ndarray, query_of: np.ndarray,
+                         Kr: np.ndarray, kmask: np.ndarray,
+                         W_q: np.ndarray, W_k: np.ndarray) -> np.ndarray:
+    """``attention_forward``'s output without projecting any key.
+
+    The score (W_q q) . (W_k r) / sqrt(d_a) is the bilinear form r . u with
+    u = W_k (W_q^T q), so each distinct query ``Q[i]`` (Q is (n, R)) is
+    mapped once to u; row b of Kr (B, k, R) attends with query
+    ``query_of[b]``. Masked slots of Kr may hold any finite value: they get
+    weight 0.
+    """
+    u = ((Q @ W_q) @ W_k.T)[query_of]
+    scores = np.einsum("bkr,br->bk", Kr, u) / np.sqrt(W_q.shape[1])
+    return np.einsum("bk,bkr->br", masked_softmax(scores, kmask), Kr)
 
 
 def forward_batch(params: ModelParameters, data: PairDataset,
@@ -509,7 +529,8 @@ def forward_batch(params: ModelParameters, data: PairDataset,
                   dropout_mask: Optional[np.ndarray] = None,
                   dropout: float = 0.3):
     """End-to-end probabilities for the selected pairs, pair-major: each
-    pair's g is gathered from ``attention_rows`` and multiplied by W1.
+    pair's g is gathered from ``attention_rows`` and ``attention_forward``
+    and multiplied by W1.
 
     When ``training`` is set the caller supplies the hidden-layer dropout
     mask so that a loss evaluation and its gradient share the same mask.
@@ -520,9 +541,19 @@ def forward_batch(params: ModelParameters, data: PairDataset,
     cache = attention_rows(params, data, qi, qj)
     cache.update({"qi": qi, "qj": qj, "dropout_mask": dropout_mask,
                   "training": training, "dropout": dropout})
-    Q, cs, inverse = cache["Q"], cache["cs"], cache["inverse"]
+    Q, inverse = cache["Q"], cache["inverse"]
     blocks = [Q[inverse[:n]], Q[inverse[n:]]]
-    if cs is not None:
+    if cache["att"] is not None:
+        outs = []
+        for rel, att in cache["att"].items():
+            kmask = att["kmask"]
+            Kr = cache["sent_reps"][att["idx"].clip(min=0)] \
+                * kmask[:, :, None]
+            out, att["cache"] = attention_forward(
+                Q, Kr, kmask, getattr(params, f"W_q_{rel}"),
+                getattr(params, f"W_k_{rel}"))
+            outs.append(out)
+        cs = np.concatenate(outs, axis=1)
         blocks += [cs[inverse[:n]], cs[inverse[n:]]]
     G = np.concatenate(blocks, axis=1)
 
@@ -544,19 +575,29 @@ def score_pairs(params: ModelParameters, data: PairDataset,
                 sel: np.ndarray) -> np.ndarray:
     """``forward_batch(training=False)``'s probabilities, up to rounding.
 
-    g @ W1 splits by W1's row blocks into a term of the pair's first
-    attention row and one of its second; each is projected once per row
-    and gathered per pair. Outside inter mode a row is a mention, shared by
-    all its pairs; an inter row serves one pair, doubling the flops.
+    Attention runs from the query side (``query_side_attention``), so no
+    inference sentence is projected through W_k. g @ W1 splits by W1's row
+    blocks into a term of the pair's first attention row and one of its
+    second; each is projected once per row and gathered per pair. Outside
+    inter mode a row is a mention, shared by all its pairs; an inter row
+    serves one pair, doubling the flops.
     """
     r = params.dims.rep_dim
     n = len(sel)
     rows = attention_rows(params, data, data.pair_i[sel], data.pair_j[sel])
-    Q, cs, inverse = rows["Q"], rows["cs"], rows["inverse"]
+    Q, inverse = rows["Q"], rows["inverse"]
     W1 = params.W1
     first = Q @ W1[:r] + params.b1
     second = Q @ W1[r:2 * r]
-    if cs is not None:
+    if rows["att"] is not None:
+        # one u per query mention: Q[distinct] holds each one's first row
+        _, distinct, query_of = np.unique(
+            rows["att_q"], return_index=True, return_inverse=True)
+        cs = np.concatenate([query_side_attention(
+            Q[distinct], query_of,
+            rows["sent_reps"][att["idx"].clip(min=0)], att["kmask"],
+            getattr(params, f"W_q_{rel}"), getattr(params, f"W_k_{rel}"))
+            for rel, att in rows["att"].items()], axis=1)
         first += cs @ W1[2 * r:4 * r]
         second += cs @ W1[4 * r:6 * r]
     logits = np.empty(n)

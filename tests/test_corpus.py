@@ -131,6 +131,17 @@ class TestLoadCorpus:
         assert str(exc.value) == (
             f"line 2: not valid JSON ({reference.value.msg})")
 
+    @pytest.mark.parametrize("lineno", [1, 2, 300])
+    def test_not_utf8_named_with_line(self, tmp_path, lineno):
+        """The decoder reads ahead in blocks; the line is the bad byte's."""
+        path = tmp_path / "c.jsonl"
+        lines = [DOC_LINE.encode()] * 300
+        lines[lineno - 1] = lines[lineno - 1].replace(b"hello", b"hel\xfflo")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}:{lineno}: not valid UTF-8"
+
     def test_directory_named(self, tmp_path):
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(tmp_path)

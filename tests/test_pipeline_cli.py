@@ -893,6 +893,19 @@ class TestCliWiring:
         assert capsys.readouterr().err == (
             f"error: {corpus}: Is a directory\n")
 
+    def test_corpus_not_utf8_named_with_line_exits_two(self, tmp_path,
+                                                       capsys):
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        corpus = Path(config.corpus_paths["train"])
+        lines = corpus.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+        corpus.write_bytes(b"\n".join(lines))
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_USAGE == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:2: not valid UTF-8\n")
+
     def test_cache_in_a_missing_directory_exits_two(self, tmp_path, capsys):
         config, _ = small_run_config(tmp_path)
         ini = gen_ini(tmp_path, config)

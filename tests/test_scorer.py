@@ -397,6 +397,33 @@ class TestBatchSingleConsistency:
             assert probs[p] == pytest.approx(expected[p], rel=1e-12)
 
 
+    @pytest.mark.parametrize("mode", ["intra", "inter"])
+    def test_score_pairs_matches_composition_at_wide_shape(self, mode):
+        """The predict path's query-side attention agrees with ``attend``
+        at r = 200, with peaked attention and partly filled sets."""
+        from cscoref.scorer import score_pairs
+
+        dims = ModelDims(d=64, d_len=8, d_a=16, h=32, mode=mode)
+        assert dims.rep_dim >= 200
+        params = init_parameters(dims, 3)
+        params.W_q_before *= 50.0
+        params.W_q_after *= 50.0
+        k = 4
+        data = make_random_dataset(dims, 11, n_mentions=8, n_pairs=20, k=k)
+        filled = np.concatenate([(data.before_idx >= 0).sum(axis=1),
+                                 (data.after_idx >= 0).sum(axis=1)])
+        assert ((filled > 0) & (filled < k)).any()
+        sel = np.arange(data.n_pairs)
+        _, cache = forward_batch(params, data, sel)
+        weights = np.concatenate([cache["att"][rel]["cache"]["weights"]
+                                  for rel in ("before", "after")])
+        assert ((weights > 0.5) & (weights < 0.99)).any()  # peaked, unequal
+        expected = composed_probabilities(params, data, sel)
+        got = score_pairs(params, data, sel)
+        for p in sel:
+            assert got[p] == pytest.approx(expected[p], rel=1e-9)
+
+
 def einsum_attention_forward(Q, Kr, kmask, W_q, W_k):
     """Per-row einsum formulation of the attention kernel."""
     from cscoref.scorer import masked_softmax

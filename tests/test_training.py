@@ -461,6 +461,27 @@ class TestScoreDatasetMatchesForwardBatch:
         assert data.n_pairs > 3
         assert_scores_match_forward_batch(data, dims)
 
+    @pytest.mark.parametrize("mode", ("baseline", "intra"))
+    def test_scoring_projects_no_keys(self, mode, monkeypatch):
+        """Scoring attends from the query side: it never calls the training
+        kernel, which projects every inference sentence through W_k."""
+        from cscoref import scorer
+
+        dims = ModelDims(d=6, d_len=4, d_a=3, h=16, mode=mode)
+        data = make_random_dataset(dims, 5, n_mentions=9, n_pairs=30)
+        params = init_parameters(dims, 0)
+        params.W_q_before *= 50.0
+        params.W_q_after *= 50.0
+        want, _ = forward_batch(params, data, np.arange(data.n_pairs),
+                                training=False)
+
+        def projects_keys(*args):
+            raise AssertionError("scoring called attention_forward")
+
+        monkeypatch.setattr(scorer, "attention_forward", projects_keys)
+        np.testing.assert_allclose(score_dataset(params, data), want,
+                                   rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("mode", ("intra", "inter"))
     def test_all_inference_sets_empty(self, mode, small_corpus, tmp_path):
         from cscoref.commonsense import FixtureProvider
