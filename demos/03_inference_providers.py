@@ -3,7 +3,9 @@
 Generation prompts follow a fixed Context/Event/Before layout; completions
 come back as free text that is split into at most k before and k after
 sentences. Providers are interchangeable: a fixture file, the synthetic
-rule, or an external generation service (not exercised here).
+rule, or an external generation service (not exercised here). One call,
+``get_inferences``, fetches a whole corpus's sets through the cache, as
+``gen-inferences`` and every dataset build do.
 """
 
 import tempfile
@@ -35,14 +37,15 @@ config = GenerationConfig(k=3)
 
 with tempfile.TemporaryDirectory() as tmp:
     cache = InferenceCache(Path(tmp) / "cache.jsonl")
+    results = get_inferences(provider, corpus, config, cache)
     mention = corpus.mentions_in_order()[0]
-    sentence = " ".join(corpus.sentence_of(mention))
-    result = get_inferences(provider, mention, sentence, config, cache)
+    result = results[mention.mention_id]
     print(f"  mention {mention.mention_id} ({mention.text!r}):")
     for s in result.before:
         print(f"    before: {s}")
     for s in result.after:
         print(f"    after:  {s}")
-    print(f"  cache entries on disk: {len(cache)}")
-    again = get_inferences(provider, mention, sentence, config, cache)
-    print(f"  second call identical (served from cache): {again == result}")
+    print(f"  cache entries on disk: {len(cache)} "
+          f"(one per mention of the corpus)")
+    again = get_inferences(provider, corpus, config, cache)
+    print(f"  second fetch identical (served from cache): {again == results}")

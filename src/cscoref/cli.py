@@ -2,13 +2,14 @@
 
 Subcommands: synth, gen-inferences, train, predict, score, explain,
 gradcheck. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error, 3 runtime failure (an unreadable checkpoint, an
-unreadable or unwritable inference cache or fixture file, a corrupt
-inference cache or fixture line, a failed embedding or generation request,
-a non-finite training loss). Errors print one ``error:`` line to stderr; a
-``train`` or ``predict`` run directory that was opened is marked
-``"status": "failed"`` with the error's class and message in
-``manifest.json``.
+configuration error (a missing input file among them), 3 runtime failure
+(an unreadable checkpoint, an unreadable or unwritable inference cache or
+fixture file, a corrupt inference cache or fixture line, a failed embedding
+or generation request, a non-finite training loss, any other
+operating-system error, such as an output path that cannot be created).
+Errors print one ``error:`` line to stderr; a ``train`` or ``predict`` run
+directory that was opened is marked ``"status": "failed"`` with the error's
+class and message in ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ScorerError, EmbeddingError, InferenceError,
-            FloatingPointError) as exc:
+            FloatingPointError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

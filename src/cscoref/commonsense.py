@@ -4,15 +4,17 @@ Every mention can be extended with short sentences describing what plausibly
 happens before and after the event, in the context of its sentence. Three
 interchangeable backends produce these inference sets: a fixture file, a
 deterministic rule tied to the synthetic corpus generator, and an external
-text-generation service. A persistent JSONL cache guarantees at most one
+text-generation service. ``get_inferences`` is the one way to fetch them,
+for ``gen-inferences`` and for every dataset build alike: it serves a
+corpus's cached sets, generates the missing ones in chunks, and stores each
+chunk as one batch. The chunks run on a thread pool for a provider that
+waits on a service, and on the calling thread for the fixture and synthetic
+providers, which do not. A persistent JSONL cache guarantees at most one
 backend invocation per (doc, mention, provider) key. The cache is an
 append-only log: each record is one line, and each batch of records is one
 append under an exclusive ``flock``, so several processes can fill one
 cache file; ``read_records`` is the one reader of that format, for caches
-and fixture files alike. ``get_inferences_bulk`` generates a corpus's
-missing sets in chunks and stores each chunk as one batch; the chunks run
-on a thread pool for a provider that waits on a service, and on the
-calling thread for the fixture and synthetic providers, which do not.
+and fixture files alike.
 """
 
 from __future__ import annotations
@@ -411,7 +413,7 @@ class FixtureProvider:
     provenance the file gives it; ``generate`` serves that set cut to k.
     """
 
-    waits_on_service = False  # bulk fills generate on the calling thread
+    waits_on_service = False  # fills generate on the calling thread
 
     def __init__(self, path, strict: bool = True):
         self.strict = strict
@@ -506,38 +508,22 @@ class GenerationServiceProvider:
                             self.fingerprint(config))
 
 
-def get_inferences(provider, mention, context_sentence: str,
-                   config: GenerationConfig,
-                   cache: Optional[InferenceCache] = None) -> InferenceSet:
-    """Cache-through fetch of one mention's inference set.
-
-    The result holds at most ``config.k`` sentences per side, also when the
-    cache holds a set generated at a larger k. On a miss it is the set the
-    cache keeps, which is another process's when that process stored the
-    key first.
-    """
-    fingerprint = provider.fingerprint(config)
-    if cache is not None:
-        hit = cache.get(mention.doc_id, mention.mention_id, fingerprint)
-        if hit is not None:
-            return hit.truncated(config.k)
-    result = provider.generate(mention, context_sentence, config)
-    if cache is not None:
-        result = cache.put(mention.doc_id, result)
-    return result.truncated(config.k)
-
-
 BULK_CONCURRENCY = 4
-# Most mentions one pool task generates and one ``put_many`` stores.
+# Most mentions one pool task generates and one ``put_many`` stores; a
+# dataset build embeds their inference sentences with one request.
 BULK_CHUNK = 32
 
 
-def get_inferences_bulk(provider, corpus, config: GenerationConfig,
-                        cache: Optional[InferenceCache] = None
-                        ) -> dict[str, InferenceSet]:
-    """Every mention's inference set.
+def get_inferences(provider, corpus, config: GenerationConfig,
+                   cache: Optional[InferenceCache] = None
+                   ) -> dict[str, InferenceSet]:
+    """Every mention's inference set, by mention id: the one fetch path of
+    ``gen-inferences`` and of every dataset build.
 
-    The cache misses are cut into contiguous chunks of corpus order: a
+    A set holds at most ``config.k`` sentences per side, also when the cache
+    holds one generated at a larger k. A generated set is the one the cache
+    keeps, which is another process's when that process stored the key
+    first. The cache misses are cut into contiguous chunks of corpus order: a
     multiple of ``BULK_CONCURRENCY`` chunks, as few as keep each at most
     ``BULK_CHUNK`` mentions, with sizes that differ by at most one. So the
     ``BULK_CONCURRENCY`` threads stay busy until the last round ends. Each

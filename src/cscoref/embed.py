@@ -81,8 +81,11 @@ class HashEmbedder:
             rows.append(vec)
         return np.stack(rows)
 
+    def embed_sentences(self, sentences) -> list[np.ndarray]:
+        return [self.embed_sentence(tokens) for tokens in sentences]
+
     def embed_document(self, document: Document) -> list[np.ndarray]:
-        return [self.embed_sentence(s) for s in document.sentences]
+        return self.embed_sentences(document.sentences)
 
 
 class ServiceEmbedder:
@@ -98,7 +101,8 @@ class ServiceEmbedder:
         self.config = config
         self._session = session or requests.Session()
 
-    def _request(self, sentences) -> list[np.ndarray]:
+    def embed_sentences(self, sentences) -> list[np.ndarray]:
+        """One matrix per token list of ``sentences``, from one request."""
         payload = {"sentences": [list(s) for s in sentences]}
         try:
             resp = self._session.post(self.config.endpoint, json=payload,
@@ -113,12 +117,17 @@ class ServiceEmbedder:
             body = resp.json()
             vectors = body["vectors"]
             d = body["d"]
+            returned = len(vectors)
         except (ValueError, KeyError, TypeError) as exc:
             raise EmbeddingError(
                 f"malformed embedding service response: {exc}") from exc
         if d != self.config.d:
             raise EmbeddingError(
                 f"service returned dimension {d}, configured {self.config.d}")
+        if returned != len(sentences):
+            raise EmbeddingError(
+                f"service returned vectors for {returned} sentences, "
+                f"sent {len(sentences)}")
         out = []
         for sent, sent_vectors in zip(sentences, vectors):
             arr = np.asarray(sent_vectors, dtype=np.float64)
@@ -130,10 +139,10 @@ class ServiceEmbedder:
         return out
 
     def embed_sentence(self, tokens) -> np.ndarray:
-        return self._request([tokens])[0]
+        return self.embed_sentences([tokens])[0]
 
     def embed_document(self, document: Document) -> list[np.ndarray]:
-        return self._request(document.sentences)
+        return self.embed_sentences(document.sentences)
 
 
 def make_embedder(config: EmbedderConfig):

@@ -24,7 +24,7 @@ from . import __version__
 from .cluster import check_unit_interval, write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
-                          PromptExemplar, get_inferences_bulk)
+                          PromptExemplar, get_inferences)
 from .corpus import SCOPES, Corpus, load_corpus, write_corpus
 from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, evaluate
@@ -367,8 +367,8 @@ def cmd_gen_inferences(config: RunConfig, split: str) -> int:
     if cache_path is None:
         raise ConfigError("gen-inferences requires a cache path")
     cache = InferenceCache(cache_path)
-    results = get_inferences_bulk(provider, corpus,
-                                  config.commonsense.generation, cache=cache)
+    results = get_inferences(provider, corpus, config.commonsense.generation,
+                             cache=cache)
     print(f"cached {len(results)} inference sets -> {cache_path}")
     return EXIT_OK
 

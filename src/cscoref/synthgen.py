@@ -328,7 +328,7 @@ def easy_subset_mention_ids(corpus: Corpus) -> set:
 class SyntheticProvider:
     """Regenerates the generator's fixtures on demand for any mention."""
 
-    waits_on_service = False  # bulk fills generate on the calling thread
+    waits_on_service = False  # fills generate on the calling thread
 
     def __init__(self, spec: SyntheticSpec):
         self.spec = spec

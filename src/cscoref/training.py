@@ -10,7 +10,7 @@ import numpy as np
 
 from .cluster import (agglomerative_cluster, check_unit_interval,
                       cut_merge_sequence, merge_sequence)
-from .commonsense import GenerationConfig, get_inferences
+from .commonsense import BULK_CHUNK, GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, GoldKey, evaluate
@@ -50,10 +50,11 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
     """Embed a split into the padded tensors the scorer consumes.
 
     Baseline mode never touches ``inference_source``. For the other modes,
-    each mention's first k before/after sentences are fetched through the
-    provider (and optional cache), whitespace-tokenized, and embedded with
-    the same provider as the mention spans; their text is kept in
-    ``sentences``, one entry per sentence row.
+    each mention's first k before/after sentences are fetched with one
+    ``get_inferences`` call (through the optional cache),
+    whitespace-tokenized, and embedded with the same provider as the mention
+    spans, one ``embed_sentences`` call per ``BULK_CHUNK`` mentions; their
+    text is kept in ``sentences``, one entry per sentence row.
     """
     embedder = make_embedder(embed_config)
     gen_config = gen_config or GenerationConfig()
@@ -77,21 +78,21 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
     if mode != "baseline":
         if inference_source is None:
             raise ValueError(f"{mode} mode requires an inference provider")
+        inferences = get_inferences(inference_source, corpus, gen_config,
+                                    cache=cache)
         sentence_matrices = []
-        for row, m in enumerate(mentions):
-            context = " ".join(corpus.sentence_of(m))
-            inf = get_inferences(inference_source, m, context, gen_config,
-                                 cache=cache)
-            for rel, idx_arr in (("before", before_idx),
-                                 ("after", after_idx)):
-                for slot, sentence in enumerate(getattr(inf, rel)):
-                    tokens = sentence.split()
-                    if not tokens:
-                        continue
-                    idx_arr[row, slot] = len(sentence_matrices)
-                    sentence_matrices.append(
-                        embedder.embed_sentence(tokens))
-                    sentences.append(sentence)
+        for lo in range(0, len(mentions), BULK_CHUNK):
+            token_lists = []
+            for row in range(lo, min(lo + BULK_CHUNK, len(mentions))):
+                inf = inferences[mentions[row].mention_id]
+                for idx_arr, side in ((before_idx, inf.before),
+                                      (after_idx, inf.after)):
+                    for slot, sentence in enumerate(side):
+                        idx_arr[row, slot] = len(sentences)
+                        token_lists.append(sentence.split())
+                        sentences.append(sentence)
+            if token_lists:
+                sentence_matrices += embedder.embed_sentences(token_lists)
         if not sentence_matrices:
             # every mention came back empty (lenient provider): keep one
             # dummy row so the tensors exist; no index ever points at it

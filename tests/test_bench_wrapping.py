@@ -1,5 +1,6 @@
 """The benchmark's traced runs wrap program functions by name; every name
-they wrap must still exist, and unwrapping must restore each original.
+they wrap must still exist and be called where the program calls it, and
+unwrapping must restore each original.
 
     python3 -m pytest tests/test_bench_wrapping.py
 """
@@ -10,10 +11,14 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_layers_install_and_unwrap(monkeypatch):
+def _layers_and_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    layers = importlib.import_module("layers")
-    tracer = importlib.import_module("tracer").Tracer()
+    return (importlib.import_module("layers"),
+            importlib.import_module("tracer").Tracer())
+
+
+def test_layers_install_and_unwrap(monkeypatch):
+    layers, tracer = _layers_and_tracer(monkeypatch)
     try:
         layers.install(tracer)
         patches = list(tracer._patches)
@@ -33,9 +38,7 @@ def test_provider_calls_counted_per_mention(monkeypatch, tmp_path, capsys):
     from cscoref import pipeline
     from cscoref.synthgen import SyntheticSpec
 
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    layers = importlib.import_module("layers")
-    tracer = importlib.import_module("tracer").Tracer()
+    layers, tracer = _layers_and_tracer(monkeypatch)
     spec = SyntheticSpec(n_topics=2, clusters_per_topic=3,
                          mentions_per_cluster=3, seed=5)
     corpus_path = tmp_path / "corpus.jsonl"
@@ -58,3 +61,28 @@ def test_provider_calls_counted_per_mention(monkeypatch, tmp_path, capsys):
     assert tracer.counters[("cold", "commonsense.provider_calls")] \
         == mentions
     assert ("warm", "commonsense.provider_calls") not in tracer.counters
+
+
+def test_traced_build_reaches_fetch_and_embedder(monkeypatch):
+    """A dataset build records a ``commonsense.get_inferences`` span and
+    embeds tokens through the wrapped ``HashEmbedder.embed_sentence``; a
+    wrapped name the program imports but no longer calls records
+    nothing."""
+    from cscoref import training
+    from cscoref.embed import EmbedderConfig
+    from cscoref.synthgen import (SyntheticProvider, SyntheticSpec,
+                                  generate_synthetic)
+
+    layers, tracer = _layers_and_tracer(monkeypatch)
+    spec = SyntheticSpec(n_topics=1, clusters_per_topic=2,
+                         mentions_per_cluster=2, seed=5)
+    corpus = generate_synthetic(spec)[0]
+    layers.install(tracer)
+    try:
+        training.build_dataset(corpus, EmbedderConfig(d=4), "intra",
+                               inference_source=SyntheticProvider(spec))
+    finally:
+        tracer.unwrap_all()
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("commonsense.get_inferences") >= 1
+    assert tracer.counters[("setup", "embed.tokens")] > 0

@@ -16,9 +16,11 @@ from cscoref.commonsense import (BULK_CHUNK, BULK_CONCURRENCY,
                                  InferenceCache, InferenceError,
                                  InferenceSet, PromptExemplar, encode_record,
                                  format_prompt, get_inferences,
-                                 get_inferences_bulk, parse_completion,
-                                 read_records, split_sentences)
+                                 parse_completion, read_records,
+                                 split_sentences)
 from cscoref.corpus import Corpus, Document, Mention
+from cscoref.embed import EmbedderConfig
+from cscoref.training import build_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -146,6 +148,12 @@ def _mention(mention_id="m1", doc_id="d1"):
     return Mention(mention_id, doc_id, 0, 0, 0, "event")
 
 
+def _corpus(mention_id="m1"):
+    """One document holding ``_mention(mention_id)``."""
+    return Corpus([Document("d1", "t0", "t0_s0", [["event"]])],
+                  [_mention(mention_id)])
+
+
 class CountingProvider:
     def __init__(self, payload=None):
         self.calls = 0
@@ -166,8 +174,8 @@ class TestCache:
         cache = InferenceCache(tmp_path / "cache.jsonl")
         provider = CountingProvider()
         config = GenerationConfig()
-        first = get_inferences(provider, _mention(), "ctx", config, cache)
-        second = get_inferences(provider, _mention(), "ctx", config, cache)
+        first = get_inferences(provider, _corpus(), config, cache)
+        second = get_inferences(provider, _corpus(), config, cache)
         assert provider.calls == 1
         assert first == second
 
@@ -175,10 +183,8 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         provider = CountingProvider()
         config = GenerationConfig()
-        get_inferences(provider, _mention(), "ctx", config,
-                       InferenceCache(path))
-        get_inferences(provider, _mention(), "ctx", config,
-                       InferenceCache(path))
+        get_inferences(provider, _corpus(), config, InferenceCache(path))
+        get_inferences(provider, _corpus(), config, InferenceCache(path))
         assert provider.calls == 1
 
     def test_cache_file_is_valid_jsonl(self, tmp_path):
@@ -225,11 +231,11 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         five = tuple(f"S {i}." for i in range(5))
         provider = CountingProvider({"before": five, "after": five})
-        get_inferences(provider, _mention(), "ctx", GenerationConfig(k=5),
+        get_inferences(provider, _corpus(), GenerationConfig(k=5),
                        InferenceCache(path))
         small = GenerationConfig(k=2)
         for cache in (InferenceCache(path), InferenceCache(path)):
-            hit = get_inferences(provider, _mention(), "ctx", small, cache)
+            hit = get_inferences(provider, _corpus(), small, cache)["m1"]
             assert hit.before == five[:2] and hit.after == five[:2]
         assert provider.calls == 1
         assert InferenceCache(path).get("d1", "m1", "fixture").before == five
@@ -261,7 +267,7 @@ def _record_line(mention_id, doc_id="d1"):
 
 def _put_one(path, mention_id, before):
     get_inferences(CountingProvider({"before": (before,), "after": ()}),
-                   _mention(mention_id), "ctx", GenerationConfig(),
+                   _corpus(mention_id), GenerationConfig(),
                    InferenceCache(path))
 
 
@@ -320,9 +326,8 @@ class _TaggedProvider(CountingProvider):
 def _fill_bulk(path, tag, numbers, out, barrier):
     cache = InferenceCache(path)
     barrier.wait()
-    results = get_inferences_bulk(_TaggedProvider(tag),
-                                  _numbered_corpus(numbers),
-                                  GenerationConfig(), cache)
+    results = get_inferences(_TaggedProvider(tag), _numbered_corpus(numbers),
+                             GenerationConfig(), cache)
     Path(out).write_text(json.dumps({m: inf.before[0]
                                      for m, inf in results.items()}),
                          encoding="utf-8")
@@ -452,12 +457,12 @@ class TestAppendOnlyLog:
         first.join(120)
         assert first.exitcode == 0
         provider = CountingProvider({"before": ("Second.",), "after": ()})
-        got = get_inferences(provider, _mention("m1"), "ctx",
-                             GenerationConfig(), second)
+        got = get_inferences(provider, _corpus("m1"), GenerationConfig(),
+                             second)["m1"]
         assert provider.calls == 1 and got.before == ("First.",)
         assert second.get("d1", "m1", "fixture").before == ("First.",)
-        assert get_inferences(provider, _mention("m1"), "ctx",
-                              GenerationConfig(), second) == got
+        assert get_inferences(provider, _corpus("m1"), GenerationConfig(),
+                              second)["m1"] == got
         assert len(Path(path).read_text("utf-8").splitlines()) == 2
         # the next put appends after the other process's record
         second.put("d1", InferenceSet("m2", ("B.",), ("A.",), "fixture"))
@@ -677,11 +682,12 @@ class TestGenerationService:
                                         monkeypatch):
         monkeypatch.setenv(GENERATION_CREDENTIAL_ENV, "sekrit-token")
         provider = self.provider(generation_server)
-        mention = Mention("m1", "d1", 0, 1, 1, "landed")
+        corpus = Corpus([Document("d1", "t0", "t0_s0",
+                                  [["the", "plane", "landed"]])],
+                        [Mention("m1", "d1", 0, 2, 2, "landed")])
         cache_path = tmp_path / "cache.jsonl"
         cache = InferenceCache(cache_path)
-        get_inferences(provider, mention, "the plane landed",
-                       GenerationConfig(), cache)
+        get_inferences(provider, corpus, GenerationConfig(), cache)
         assert generation_server.requests[0]["auth"] == "Bearer sekrit-token"
         assert "sekrit-token" not in cache_path.read_text("utf-8")
 
@@ -706,10 +712,10 @@ class TestBulk:
         provider = CountingProvider()
         cache = InferenceCache(tmp_path / "cache.jsonl")
         config = GenerationConfig()
-        results = get_inferences_bulk(provider, tiny_corpus, config, cache)
+        results = get_inferences(provider, tiny_corpus, config, cache)
         assert len(results) == 3
         assert provider.calls == 3
-        again = get_inferences_bulk(provider, tiny_corpus, config, cache)
+        again = get_inferences(provider, tiny_corpus, config, cache)
         assert provider.calls == 3
         assert results.keys() == again.keys()
 
@@ -732,17 +738,20 @@ class TestBulk:
         blobs = []
         for seed in (0, 1):
             path = tmp_path / f"cache{seed}.jsonl"
-            results = get_inferences_bulk(SleepingProvider(seed), corpus,
-                                          GenerationConfig(),
-                                          InferenceCache(path))
+            results = get_inferences(SleepingProvider(seed), corpus,
+                                     GenerationConfig(), InferenceCache(path))
             assert list(results) == [f"m{i:03d}" for i in range(16)]
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("n", [3, 8, 4 * BULK_CHUNK, 5 * BULK_CHUNK])
-    def test_chunks_keep_every_thread_generating(self, n):
+    @pytest.mark.parametrize("n, build", [
+        pytest.param(n, build, id=f"build-{n}" if build else str(n))
+        for build in (False, True)
+        for n in (3, 8, 4 * BULK_CHUNK, 5 * BULK_CHUNK)])
+    def test_chunks_keep_every_thread_generating(self, n, build):
         """Each generation waits until ``min(n, BULK_CONCURRENCY)`` are in
-        flight, which needs that many chunks of equal size."""
+        flight, which needs that many chunks of equal size; a dataset build
+        fetches through the same pool."""
         meeting = threading.Barrier(min(n, BULK_CONCURRENCY), timeout=10)
 
         class MeetingProvider(CountingProvider):
@@ -750,10 +759,16 @@ class TestBulk:
                 meeting.wait()
                 return super().generate(mention, context, config)
 
-        results = get_inferences_bulk(MeetingProvider(),
-                                      _numbered_corpus(range(n)),
-                                      GenerationConfig())
-        assert len(results) == n
+        corpus = _numbered_corpus(range(n))
+        if build:
+            data = build_dataset(corpus, EmbedderConfig(d=4), "intra",
+                                 inference_source=MeetingProvider(),
+                                 labeled=False)
+            assert data.sentences == ["B one.", "A one."] * n
+        else:
+            results = get_inferences(MeetingProvider(), corpus,
+                                     GenerationConfig())
+            assert len(results) == n
 
     def test_interrupted_fill_resumes_to_the_same_bytes(self, tmp_path):
         class LoggedFixtures(FixtureProvider):
@@ -779,15 +794,15 @@ class TestBulk:
         config = GenerationConfig()
         path = tmp_path / "cache.jsonl"
         with pytest.raises(InferenceError, match=f"'{ids[fail_at]}'"):
-            get_inferences_bulk(FixtureProvider(holed), corpus, config,
-                                InferenceCache(path))
+            get_inferences(FixtureProvider(holed), corpus, config,
+                           InferenceCache(path))
         assert [key[1] for key in read_records(path)] == ids[:fail_at]
         resumed = LoggedFixtures(fixtures)
-        get_inferences_bulk(resumed, corpus, config, InferenceCache(path))
+        get_inferences(resumed, corpus, config, InferenceCache(path))
         assert sorted(resumed.calls) == ids[fail_at:]
         whole = tmp_path / "whole.jsonl"
-        get_inferences_bulk(FixtureProvider(fixtures), corpus, config,
-                            InferenceCache(whole))
+        get_inferences(FixtureProvider(fixtures), corpus, config,
+                       InferenceCache(whole))
         assert path.read_bytes() == whole.read_bytes()
 
 
@@ -812,8 +827,8 @@ class TestBulk:
         provider = FailingProvider()
         path = tmp_path / "cache.jsonl"
         with pytest.raises(InferenceError, match="m000"):
-            get_inferences_bulk(provider, _numbered_corpus(range(n)),
-                                GenerationConfig(), InferenceCache(path))
+            get_inferences(provider, _numbered_corpus(range(n)),
+                           GenerationConfig(), InferenceCache(path))
         assert provider.calls <= 2 * BULK_CONCURRENCY
         assert not path.exists()  # nothing before the failure to store
 
@@ -834,9 +849,9 @@ class TestBulk:
 
         provider = SlowProvider()
         with pytest.raises(InferenceError, match="no space left"):
-            get_inferences_bulk(provider, _numbered_corpus(range(n)),
-                                GenerationConfig(),
-                                FullDisk(tmp_path / "cache.jsonl"))
+            get_inferences(provider, _numbered_corpus(range(n)),
+                           GenerationConfig(),
+                           FullDisk(tmp_path / "cache.jsonl"))
         assert provider.calls < n // 2 + BULK_CHUNK
 
 

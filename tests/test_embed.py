@@ -1,14 +1,19 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+from cscoref.commonsense import BULK_CHUNK
 from cscoref.corpus import Document
 from cscoref.embed import (EmbedderConfig, EmbeddingError, HashEmbedder,
                            ServiceEmbedder, hash_embed, span_representation,
                            width_bucket)
+from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
+    generate_synthetic
+from cscoref.training import build_dataset
 
 # regression value computed once from this implementation (d=16, seed=1,
 # tokens "token0".."token999")
@@ -64,6 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        self.server.posts += 1
         spec = self.server.behavior
         if spec.get("status", 200) != 200:
             self.send_response(spec["status"])
@@ -74,6 +80,8 @@ class _Handler(BaseHTTPRequestHandler):
                             for sent in payload["sentences"]], "d": d}
         if spec.get("drop_field"):
             del body["d"]
+        if "sentences" in spec:  # a reply for another number of sentences
+            body["vectors"] = [[[0.1] * d]] * spec["sentences"]
         data = json.dumps(body).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -89,6 +97,7 @@ class _Handler(BaseHTTPRequestHandler):
 def embedding_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.behavior = {"d": 4}
+    server.posts = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -129,6 +138,31 @@ class TestServiceEmbedder:
         doc = Document("d", "t", "s", [["a"]])
         with pytest.raises(EmbeddingError, match="malformed"):
             embedder.embed_document(doc)
+
+    @pytest.mark.parametrize("returned", [1, 4])
+    def test_reply_for_another_number_of_sentences(self, embedding_server,
+                                                   returned):
+        embedding_server.behavior = {"d": 4, "sentences": returned}
+        embedder = ServiceEmbedder(_service_config(embedding_server))
+        doc = Document("d", "t", "s", [["a"], ["b"], ["c"]])
+        with pytest.raises(EmbeddingError) as error:
+            embedder.embed_document(doc)
+        assert str(error.value) == (
+            f"service returned vectors for {returned} sentences, sent 3")
+
+    def test_build_sends_one_request_per_chunk(self, embedding_server):
+        """A build embeds each document with one request and the inference
+        sentences of each ``BULK_CHUNK`` mentions with one more."""
+        spec = SyntheticSpec(n_topics=2, clusters_per_topic=3,
+                             mentions_per_cluster=6, seed=3)
+        corpus = generate_synthetic(spec)[0]
+        assert len(corpus.mentions) > BULK_CHUNK
+        data = build_dataset(corpus, _service_config(embedding_server),
+                             "intra", inference_source=SyntheticProvider(spec))
+        assert data.sent_tensors.X.shape[0] == len(data.sentences) \
+            > len(corpus.mentions)
+        assert embedding_server.posts <= len(corpus.documents) + math.ceil(
+            len(corpus.mentions) / BULK_CHUNK)
 
     def test_unreachable(self):
         config = EmbedderConfig(provider="service", d=4,

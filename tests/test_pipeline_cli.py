@@ -46,6 +46,17 @@ class TestSynthCommand:
         assert cli.main(args) == 2
         assert not (tmp_path / "corpus.jsonl").exists()
 
+    def test_output_under_a_regular_file_exits_three(self, tmp_path,
+                                                     capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        args = synth_args(tmp_path)
+        args[args.index("--corpus-out") + 1] = str(blocker / "c.jsonl")
+        assert cli.main(args) == pipeline.EXIT_RUNTIME == 3
+        assert capsys.readouterr().err == (
+            f"error: FileExistsError: [Errno 17] File exists: "
+            f"'{blocker}'\n")
+
     def test_rerun_identical_files(self, tmp_path):
         assert cli.main(synth_args(tmp_path)) == 0
         first = (tmp_path / "corpus.jsonl").read_bytes()
@@ -997,6 +1008,29 @@ class TestPinnedCacheBytes:
         monkeypatch.setattr(owner, "generate", counted)
         assert pipeline.cmd_gen_inferences(config, "train") == 0
         assert calls == []
+        assert cache_sha256(config) == PINNED_CACHE_SHA256[provider]
+
+    @pytest.mark.parametrize("provider", ["fixture", "synthetic"])
+    def test_train_writes_the_gen_inferences_bytes(self, tmp_path, capsys,
+                                                   monkeypatch, provider):
+        """A cache-backed ``train`` fetches as ``gen-inferences`` does: the
+        same bytes, one ``put_many`` per chunk of misses (4 chunks of 27
+        for PIN_SPEC's 108 mentions)."""
+        config = pinned_fill_config(tmp_path, provider)
+        config.train = pipeline.TrainConfig(epochs=1, patience=None,
+                                            hidden=8, d_a=2)
+        config.seeds = (0,)
+        config.out_dir = str(tmp_path / "run")
+        stores = []
+        put_many = pipeline.InferenceCache.put_many
+
+        def counted(self, items):
+            stores.append(len(items))
+            return put_many(self, items)
+
+        monkeypatch.setattr(pipeline.InferenceCache, "put_many", counted)
+        assert pipeline.cmd_train(config) == 0
+        assert stores == [27] * 4
         assert cache_sha256(config) == PINNED_CACHE_SHA256[provider]
 
     @pytest.mark.parametrize("provider", ["fixture", "synthetic"])

@@ -67,6 +67,41 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="provider"):
             build_dataset(small_corpus, EMB, "intra")
 
+    # sha256 of before_idx, after_idx, sent_tensors.X and the sentences of
+    # the desk train split's dataset (desk embedder, fixture provider), and
+    # of the cache its build fills, computed when builds fetched and
+    # embedded each mention's inference sentences one at a time
+    PINNED_DESK_TRAIN = ("cd05d8b4026fac699232ed3d53426c01"
+                         "17dd930784ee29c8603b23b0f26feb8f")
+    PINNED_DESK_TRAIN_CACHE = ("e9f39f41ea3e1812a1cbebf5dbd8fede"
+                               "8acf06ad8216d238d5d34b38b92c09c2")
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no cache", "cold cache"])
+    def test_pinned_desk_train_dataset(self, tmp_path, cached):
+        from cscoref.commonsense import FixtureProvider, InferenceCache
+        from cscoref.synthgen import write_fixtures
+
+        config = preset("desk")
+        corpus, fixtures = generate_synthetic(DESK_SPLIT_SPECS["train"])
+        path = tmp_path / "fixtures.jsonl"
+        write_fixtures(corpus, fixtures, path)
+        cache_path = tmp_path / "cache.jsonl"
+        data = build_dataset(
+            corpus, config.embedder, "intra",
+            inference_source=FixtureProvider(path),
+            gen_config=config.commonsense.generation,
+            cache=InferenceCache(cache_path) if cached else None)
+        digest = hashlib.sha256()
+        for arr in (data.before_idx, data.after_idx, data.sent_tensors.X):
+            digest.update(arr.tobytes())
+        digest.update("\n".join(data.sentences).encode("utf-8"))
+        assert digest.hexdigest() == self.PINNED_DESK_TRAIN
+        assert cached == cache_path.exists()
+        if cached:
+            assert hashlib.sha256(cache_path.read_bytes()).hexdigest() \
+                == self.PINNED_DESK_TRAIN_CACHE
+
     def test_all_empty_inference_sets_still_scorable(self, small_corpus,
                                                      tmp_path):
         from cscoref.commonsense import FixtureProvider
