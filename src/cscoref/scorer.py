@@ -16,12 +16,12 @@ mention's own sets in intra mode, the other mention's in inter mode; the
 query is always the ctx the cs block is attached to).
 
 Training runs the first layer pair-major (``forward_batch``/
-``backward_batch``); scoring (``score_pairs``) projects it once per mention
-outside inter mode. Both share one selection stage, ``attention_rows``
-(span reps, attention rows, queries and sentence reps), and then attend
-with their own kernel: training with ``attention_forward``, which keeps the
-key projections its backward pass reads, and scoring from the query side
-with ``query_side_attention``, which projects each query once and no key.
+``backward_batch``); scoring runs one path in every mode, ``score_dataset``,
+which projects it per attention row. Both share one selection stage,
+``attention_rows`` (span reps, attention rows and sentence reps), and then
+attend with their own kernel: training with ``attention_forward``, which
+keeps the key projections its backward pass reads, and scoring from the
+query side with ``query_side_attention``, which projects no key.
 
 ``ModelParameters`` holds every block as a view into one contiguous
 float64 vector in BLOCK_ORDER, and gradients use the same container: the
@@ -49,7 +49,7 @@ CKPT_MAGIC = b"CSCOREF-CKPT-1\n"
 
 LOSS_EPS = 1e-7
 
-# pairs per hidden-layer block in score_pairs: a (64, h) block stays in
+# pairs per hidden-layer block in score_dataset: a (64, h) block stays in
 # cache and reuses freed memory; a (pairs, h) array faults in fresh pages
 PAIR_BLOCK = 64
 INIT_PIECE = 1 << 15  # doubles drawn and scaled at a time (256 KB)
@@ -451,9 +451,9 @@ class PairDataset:
     (query mention row, source mention row), so ``attention_rows`` selects
     one attention row per distinct such pair in a batch: one per mention in
     intra mode, one per ordered pair in inter mode. Training attends per row
-    through ``attention_forward``; scoring attends from the query side, once
-    per query mention, and projects the first layer once per row too, where
-    training multiplies it per pair.
+    through ``attention_forward`` and multiplies the first layer per pair.
+    Scoring, ``score_dataset`` in every mode, attends from the query side
+    and projects the first layer per query mention and per row instead.
     """
     mention_ids: list
     row_of: dict
@@ -478,13 +478,13 @@ def attention_rows(params: ModelParameters, data: PairDataset,
 
     There is one attention row per distinct (query, source) among the 2n
     stacked mentions (c < n is pair c's first, n + c its second), sorted.
-    ``inverse[c]`` is stacked row c's attention row, ``att_q`` each row's
-    query mention and ``Q = span_reps[att_q]``. Outside baseline,
+    ``inverse[c]`` is stacked row c's attention row and ``att_q`` each
+    row's query mention, a row of ``span_reps``. Outside baseline,
     ``sent_reps`` holds every inference sentence's representation and
     ``att[rel]`` each row's sentence indices ``idx`` (k of them, padded with
     -1) and their ``kmask``; ``att`` is None in baseline. The caller
     attends: ``forward_batch`` through ``attention_forward``,
-    ``score_pairs`` through ``query_side_attention``."""
+    ``score_dataset`` through ``query_side_attention``."""
     mode = params.dims.mode
     span_reps, span_cache = span_reps_forward(
         data.span_tensors, params.w_alpha, params.width_table)
@@ -494,7 +494,7 @@ def attention_rows(params: ModelParameters, data: PairDataset,
     keys, inverse = np.unique(q_rows * m + src_rows, return_inverse=True)
     att_q, att_src = np.divmod(keys, m)
     rows = {"span_cache": span_cache, "att_q": att_q, "inverse": inverse,
-            "Q": span_reps[att_q], "att": None}
+            "span_reps": span_reps, "att": None}
     if mode == "baseline":
         return rows
     sent_reps, sent_cache = span_reps_forward(
@@ -530,7 +530,8 @@ def forward_batch(params: ModelParameters, data: PairDataset,
                   dropout: float = 0.3):
     """End-to-end probabilities for the selected pairs, pair-major: each
     pair's g is gathered from ``attention_rows`` and ``attention_forward``
-    and multiplied by W1.
+    and multiplied by W1. Training, ``explain`` and the gradcheck run it;
+    scoring runs ``score_dataset``.
 
     When ``training`` is set the caller supplies the hidden-layer dropout
     mask so that a loss evaluation and its gradient share the same mask.
@@ -541,7 +542,7 @@ def forward_batch(params: ModelParameters, data: PairDataset,
     cache = attention_rows(params, data, qi, qj)
     cache.update({"qi": qi, "qj": qj, "dropout_mask": dropout_mask,
                   "training": training, "dropout": dropout})
-    Q, inverse = cache["Q"], cache["inverse"]
+    Q, inverse = cache["span_reps"][cache["att_q"]], cache["inverse"]
     blocks = [Q[inverse[:n]], Q[inverse[n:]]]
     if cache["att"] is not None:
         outs = []
@@ -571,40 +572,42 @@ def forward_batch(params: ModelParameters, data: PairDataset,
     return probs, cache
 
 
-def score_pairs(params: ModelParameters, data: PairDataset,
-                sel: np.ndarray) -> np.ndarray:
-    """``forward_batch(training=False)``'s probabilities, up to rounding.
+def score_dataset(params: ModelParameters, data: PairDataset) -> np.ndarray:
+    """Every pair's ``forward_batch(training=False)`` probability, up to
+    rounding, in every mode, attending through ``query_side_attention``.
 
-    Attention runs from the query side (``query_side_attention``), so no
-    inference sentence is projected through W_k. g @ W1 splits by W1's row
-    blocks into a term of the pair's first attention row and one of its
-    second; each is projected once per row and gathered per pair. Outside
-    inter mode a row is a mention, shared by all its pairs; an inter row
-    serves one pair, doubling the flops.
+    g @ W1 splits by row blocks into a term of the pair's first attention
+    row and one of its second. ctx is projected once per query mention, a
+    row's cs only through the block of the side whose pairs use it (intra
+    rows are mentions, used on both sides; inter rows are ordered pairs).
     """
-    r = params.dims.rep_dim
-    n = len(sel)
-    rows = attention_rows(params, data, data.pair_i[sel], data.pair_j[sel])
-    Q, inverse = rows["Q"], rows["inverse"]
-    W1 = params.W1
-    first = Q @ W1[:r] + params.b1
-    second = Q @ W1[r:2 * r]
+    n, r, W1 = data.n_pairs, params.dims.rep_dim, params.W1
+    if n == 0:
+        return np.zeros(0)
+    rows = attention_rows(params, data, data.pair_i, data.pair_j)
+    queries, query_of = np.unique(rows["att_q"], return_inverse=True)
+    Q = rows["span_reps"][queries]  # row b's query is Q[query_of[b]]
+    ctx = [Q @ W1[:r], Q @ W1[r:2 * r]]
+    ctx[0] += params.b1
+    # per side: (term per row, each pair's row); baseline rows are queries
+    sides = [(ctx[0], rows["inverse"][:n]), (ctx[1], rows["inverse"][n:])]
     if rows["att"] is not None:
-        # one u per query mention: Q[distinct] holds each one's first row
-        _, distinct, query_of = np.unique(
-            rows["att_q"], return_index=True, return_inverse=True)
         cs = np.concatenate([query_side_attention(
-            Q[distinct], query_of,
-            rows["sent_reps"][att["idx"].clip(min=0)], att["kmask"],
-            getattr(params, f"W_q_{rel}"), getattr(params, f"W_k_{rel}"))
+            Q, query_of, rows["sent_reps"][att["idx"].clip(min=0)],
+            att["kmask"], getattr(params, f"W_q_{rel}"),
+            getattr(params, f"W_k_{rel}"))
             for rel, att in rows["att"].items()], axis=1)
-        first += cs @ W1[2 * r:4 * r]
-        second += cs @ W1[4 * r:6 * r]
+        for side in (0, 1):
+            used, of_pair = np.unique(sides[side][1], return_inverse=True)
+            term = cs[used] @ W1[(2 + 2 * side) * r:(4 + 2 * side) * r]
+            term += ctx[side][query_of[used]]
+            sides[side] = (term, of_pair)
+    (first, first_of), (second, second_of) = sides
     logits = np.empty(n)
     for lo in range(0, n, PAIR_BLOCK):
         hi = min(lo + PAIR_BLOCK, n)
-        z1 = first[inverse[lo:hi]]
-        z1 += second[inverse[n + lo:n + hi]]
+        z1 = first[first_of[lo:hi]]
+        z1 += second[second_of[lo:hi]]
         logits[lo:hi] = np.maximum(z1, 0.0, out=z1) @ params.W2
     return sigmoid(logits + params.b2)
 

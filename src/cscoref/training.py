@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -14,9 +15,9 @@ from .commonsense import BULK_CHUNK, GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, GoldKey, evaluate
-from .scorer import (BLOCK_ORDER, ModelDims, ModelParameters, PairDataset,
-                     SpanTensors, backward_batch, bce_loss,
-                     forward_batch, init_parameters, score_pairs)
+from .scorer import (BLOCK_ORDER, MODES, ModelDims, ModelParameters,
+                     PairDataset, SpanTensors, backward_batch, bce_loss,
+                     forward_batch, init_parameters, score_dataset)
 
 
 @dataclass
@@ -33,8 +34,19 @@ class TrainConfig:
     pair_scope: str = "subtopic"
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        # a value that would train nothing or on NaN fails as the INI loads
+        for name, low, high in (("dropout", 0.0, 1.0),
+                                ("learning_rate", 0.0, math.inf)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and low <= value < high):
+                raise ValueError(f"{name} = {value!r} is not in "
+                                 f"[{low}, {high})")
+        for name in ("batch_size", "epochs", "hidden", "d_a"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} = {value!r} is not an integer >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"mode = {self.mode!r} is not one of {MODES}")
 
     def model_dims(self, embed_config: EmbedderConfig) -> ModelDims:
         return ModelDims(d=embed_config.d, d_len=embed_config.d_len,
@@ -142,23 +154,6 @@ class Adam:
         b += self.EPS
         np.divide(np.divide(m, bias1, out=a), b, out=a)
         params.flat -= np.multiply(self.lr, a, out=a)
-
-
-def score_dataset(params: ModelParameters, data: PairDataset,
-                  chunk: int = 1024) -> np.ndarray:
-    """Deterministic probabilities for every pair in the dataset: one
-    ``score_pairs`` call, or pair-major ``chunk``s in inter mode, where
-    ``score_pairs`` shares no projection between pairs."""
-    if data.n_pairs == 0:
-        return np.zeros(0)
-    if params.dims.mode != "inter":
-        return score_pairs(params, data, np.arange(data.n_pairs))
-    out = np.zeros(data.n_pairs)
-    for lo in range(0, data.n_pairs, chunk):
-        sel = np.arange(lo, min(lo + chunk, data.n_pairs))
-        probs, _ = forward_batch(params, data, sel, training=False)
-        out[sel] = probs
-    return out
 
 
 def pairwise_f1(probs: np.ndarray, labels: np.ndarray,

@@ -805,6 +805,29 @@ def test_unknown_key_exits_two_without_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "0"), ("epochs", "none"), ("batch_size", "0"),
+    ("hidden", "0"), ("d_a", "0"), ("d_a", "-2"), ("learning_rate", "-1e-3"),
+    ("learning_rate", "nan"), ("learning_rate", "inf"), ("dropout", "none"),
+    ("mode", "intre")])
+def test_bad_train_value_exits_two_without_run_dir(tmp_path, capsys, key,
+                                                   value):
+    """A [train] value that would train nothing, or train on NaN, is
+    rejected when the config loads: no run directory, no inference
+    fetch, one error line naming the key."""
+    config, _ = small_run_config(tmp_path)
+    out = tmp_path / "train"
+    ini = cli_ini(tmp_path, config, out)
+    lines = [line for line in ini.read_text("utf-8").splitlines()
+             if not line.startswith(f"{key} = ")]
+    ini.write_text("\n".join(lines + [f"{key} = {value}", ""]), "utf-8")
+    assert cli.main(["train", "--config", str(ini)]) == pipeline.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestThresholdCheck:
     def test_train_rejects_before_training(self, tmp_path, capsys):
         config, _ = small_run_config(tmp_path)

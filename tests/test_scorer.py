@@ -401,7 +401,7 @@ class TestBatchSingleConsistency:
     def test_score_pairs_matches_composition_at_wide_shape(self, mode):
         """The predict path's query-side attention agrees with ``attend``
         at r = 200, with peaked attention and partly filled sets."""
-        from cscoref.scorer import score_pairs
+        from cscoref.scorer import score_dataset
 
         dims = ModelDims(d=64, d_len=8, d_a=16, h=32, mode=mode)
         assert dims.rep_dim >= 200
@@ -419,7 +419,7 @@ class TestBatchSingleConsistency:
                                   for rel in ("before", "after")])
         assert ((weights > 0.5) & (weights < 0.99)).any()  # peaked, unequal
         expected = composed_probabilities(params, data, sel)
-        got = score_pairs(params, data, sel)
+        got = score_dataset(params, data)
         for p in sel:
             assert got[p] == pytest.approx(expected[p], rel=1e-9)
 

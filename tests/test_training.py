@@ -8,7 +8,7 @@ from cscoref.corpus import Corpus, Document, Mention
 from cscoref.embed import EmbedderConfig
 from cscoref.pipeline import DESK_SPLIT_SPECS, preset
 from cscoref.scorer import (ModelDims, ModelParameters, forward_batch,
-                            init_parameters, save_checkpoint, score_pairs)
+                            init_parameters, save_checkpoint)
 from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
 from cscoref import training
@@ -445,35 +445,20 @@ class TestGradcheckHarness:
                 assert abs(numeric - g[idx]) / denom <= 1e-4
 
 
-class TestScoreDataset:
-    def test_chunking_consistent(self, small_spec, small_corpus):
-        data = build_dataset(small_corpus, EMB, "intra",
-                             inference_source=SyntheticProvider(small_spec))
-        dims = ModelDims(d=8, d_len=4, d_a=2, h=8, mode="intra",
-                         max_width_bucket=4)
-        params = init_parameters(dims, 0)
-        full = score_dataset(params, data, chunk=1024)
-        tiny = score_dataset(params, data, chunk=3)
-        np.testing.assert_allclose(full, tiny, atol=1e-15)
-
-
 MODES = ("baseline", "intra", "inter")
 
 
-def assert_scores_match_forward_batch(data, dims, chunks=(1024, 3)):
-    """score_pairs and score_dataset (at each chunk size) equal the
-    pair-major forward_batch at evaluation, for two seeds."""
+def assert_scores_match_forward_batch(data, dims):
+    """score_dataset equals the pair-major forward_batch at evaluation,
+    for two seeds."""
     sel = np.arange(data.n_pairs)
     for seed in (0, 1):
         params = init_parameters(dims, seed)
         params.W_q_before *= 50.0  # peaked attention, unequal weights
         params.W_q_after *= 50.0
         want, _ = forward_batch(params, data, sel, training=False)
-        np.testing.assert_allclose(score_pairs(params, data, sel), want,
+        np.testing.assert_allclose(score_dataset(params, data), want,
                                    rtol=1e-12, atol=0)
-        for chunk in chunks:
-            got = score_dataset(params, data, chunk=chunk)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestScoreDatasetMatchesForwardBatch:
@@ -496,10 +481,11 @@ class TestScoreDatasetMatchesForwardBatch:
         assert data.n_pairs > 3
         assert_scores_match_forward_batch(data, dims)
 
-    @pytest.mark.parametrize("mode", ("baseline", "intra"))
+    @pytest.mark.parametrize("mode", MODES)
     def test_scoring_projects_no_keys(self, mode, monkeypatch):
-        """Scoring attends from the query side: it never calls the training
-        kernel, which projects every inference sentence through W_k."""
+        """Scoring attends from the query side in every mode: it never
+        calls the training kernel, which projects every inference sentence
+        through W_k, nor the pair-major forward_batch."""
         from cscoref import scorer
 
         dims = ModelDims(d=6, d_len=4, d_a=3, h=16, mode=mode)
@@ -513,7 +499,12 @@ class TestScoreDatasetMatchesForwardBatch:
         def projects_keys(*args):
             raise AssertionError("scoring called attention_forward")
 
+        def pair_major(*args, **kwargs):
+            raise AssertionError("scoring called forward_batch")
+
         monkeypatch.setattr(scorer, "attention_forward", projects_keys)
+        monkeypatch.setattr(scorer, "forward_batch", pair_major)
+        monkeypatch.setattr(training, "forward_batch", pair_major)
         np.testing.assert_allclose(score_dataset(params, data), want,
                                    rtol=1e-12, atol=0)
 
