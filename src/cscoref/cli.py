@@ -45,7 +45,7 @@ def _resolve_config(args) -> pipeline.RunConfig:
     if args.out:
         config.out_dir = args.out
     if args.seed:
-        config.seeds = parse_seeds(args.seed)
+        config.seeds = parse_seeds(args.seed, "--seed")
     if args.mode:
         config.train = replace(config.train, mode=args.mode)
     return config
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
                                         second.strip(), split=args.split,
                                         out_path=args.trace_out)
         if args.command == "gradcheck":
-            seeds = parse_seeds(args.seed)
+            seeds = parse_seeds(args.seed, "--seed")
             if not seeds:
                 raise ConfigError(f"--seed {args.seed!r} names no seeds")
             return pipeline.cmd_gradcheck(mode=args.mode, seeds=seeds)

@@ -123,9 +123,20 @@ DESK_SPLIT_SPECS = {
 SPLITS = ("train", "dev", "test")
 
 
-def parse_seeds(text: str) -> tuple:
-    """The seeds of a comma-separated list such as ``0,1,2``."""
-    return tuple(int(s) for s in text.split(",") if s.strip())
+def parse_seeds(text: str, source: str) -> tuple:
+    """The seeds of a comma-separated list such as ``0,1,2``: distinct
+    non-negative integers, or a ConfigError naming ``source``, the key or
+    flag the list came from."""
+    try:
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"{source} = {text!r} is not a comma-separated "
+                          f"list of integers") from None
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"{source} = {text!r} holds a negative seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{source} = {text!r} repeats a seed")
+    return seeds
 
 
 def _fields(prefix: str, *pairs) -> dict:
@@ -236,7 +247,7 @@ def load_run_config(path) -> RunConfig:
     config = preset(values.pop("preset", DEFAULT_PRESET))
     seeds = values.pop("seeds", None)
     if seeds:
-        values["seeds"] = parse_seeds(seeds)
+        values["seeds"] = parse_seeds(seeds, "[run] seeds")
     shared = values.pop("commonsense.fixtures.*", None)
     for split in SPLITS:
         for field_path in (f"corpus_paths.{split}",

@@ -52,7 +52,9 @@ LOSS_EPS = 1e-7
 # pairs per hidden-layer block in score_dataset: a (64, h) block stays in
 # cache and reuses freed memory; a (pairs, h) array faults in fresh pages
 PAIR_BLOCK = 64
-INIT_PIECE = 1 << 15  # doubles drawn and scaled at a time (256 KB)
+# doubles per piece of a pass over the parameter vector (256 KB, in cache):
+# init_parameters draws and scales a piece at a time, Adam steps one
+INIT_PIECE = 1 << 15
 
 
 class ScorerError(RuntimeError):

@@ -16,8 +16,8 @@ from .corpus import Clustering, Corpus, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, GoldKey, evaluate
 from .scorer import (BLOCK_ORDER, MODES, ModelDims, ModelParameters,
-                     PairDataset, SpanTensors, backward_batch, bce_loss,
-                     forward_batch, init_parameters, score_dataset)
+                     INIT_PIECE, PairDataset, SpanTensors, backward_batch,
+                     bce_loss, forward_batch, init_parameters, score_dataset)
 
 
 @dataclass
@@ -41,10 +41,14 @@ class TrainConfig:
             if not (isinstance(value, numbers.Real) and low <= value < high):
                 raise ValueError(f"{name} = {value!r} is not in "
                                  f"[{low}, {high})")
-        for name in ("batch_size", "epochs", "hidden", "d_a"):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("hidden", 1),
+                          ("d_a", 1), ("patience", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} = {value!r} is not an integer >= 1")
+            if name == "patience" and value is None:
+                continue  # no early stopping
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} = {value!r} is not an integer "
+                                 f">= {low}")
         if self.mode not in MODES:
             raise ValueError(f"mode = {self.mode!r} is not one of {MODES}")
 
@@ -127,8 +131,15 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
 
 
 class Adam:
-    """Adaptive-moment updates over the flat parameter vector: one pass per
-    operation, into moment and scratch vectors allocated once."""
+    """Adaptive-moment updates over the flat parameter vector.
+
+    Its only parameter-sized state is the two moments, so training holds
+    five such vectors (see ``train``). A step runs its element-wise
+    operations, one pass each in a fixed order, over ``INIT_PIECE``-sized
+    pieces of the vector into two piece-sized scratch buffers: each piece
+    stays in cache, and every element sees the operations of a
+    whole-vector pass, so the bytes are the same.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -138,22 +149,28 @@ class Adam:
         self.lr = lr
         self.t = 0
         size = ModelParameters(dims).flat.size
-        self.m, self.v, self._a, self._b = (np.zeros(size) for _ in range(4))
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        piece = min(size, INIT_PIECE)
+        self._a, self._b = np.empty(piece), np.empty(piece)
 
     def step(self, params: ModelParameters, grads: ModelParameters):
         self.t += 1
         bias1 = 1.0 - self.BETA1 ** self.t
         bias2 = 1.0 - self.BETA2 ** self.t
-        g, m, v, a, b = grads.flat, self.m, self.v, self._a, self._b
-        m *= self.BETA1
-        m += np.multiply(1.0 - self.BETA1, g, out=a)
-        v *= self.BETA2
-        v += np.multiply(1.0 - self.BETA2, np.square(g, out=a), out=a)
-        # update = (m / bias1) / (sqrt(v / bias2) + eps), then lr * update
-        np.sqrt(np.divide(v, bias2, out=b), out=b)
-        b += self.EPS
-        np.divide(np.divide(m, bias1, out=a), b, out=a)
-        params.flat -= np.multiply(self.lr, a, out=a)
+        size = params.flat.size
+        for lo in range(0, size, INIT_PIECE):
+            hi = min(lo + INIT_PIECE, size)
+            g, m, v = grads.flat[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, b = self._a[:hi - lo], self._b[:hi - lo]
+            m *= self.BETA1
+            m += np.multiply(1.0 - self.BETA1, g, out=a)
+            v *= self.BETA2
+            v += np.multiply(1.0 - self.BETA2, np.square(g, out=a), out=a)
+            # update = (m / bias1) / (sqrt(v / bias2) + eps), then lr * update
+            np.sqrt(np.divide(v, bias2, out=b), out=b)
+            b += self.EPS
+            np.divide(np.divide(m, bias1, out=a), b, out=a)
+            params.flat[lo:hi] -= np.multiply(self.lr, a, out=a)
 
 
 def pairwise_f1(probs: np.ndarray, labels: np.ndarray,
@@ -179,6 +196,12 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     it fails to improve for ``patience`` consecutive epochs, training stops
     and the best epoch's parameters are returned. Without dev data the
     training set doubles as the monitoring set.
+
+    Training holds five parameter-sized vectors: the parameters, a
+    best-epoch snapshot allocated once (each improving epoch is copied into
+    it), the gradient vector ``backward_batch`` overwrites, and Adam's two
+    moments. At the service dims (d=1024, d_a=512, h=1024) each is 25.3M
+    doubles, 203 MB.
     """
     dev_data = data if dev_data is None else dev_data
     if data.n_pairs == 0:
@@ -225,7 +248,7 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
                         "dev_f1": dev_f1})
         if dev_f1 > best_f1:
             best_f1 = dev_f1
-            best_params = params.copy()
+            best_params.flat[...] = params.flat
             best_epoch = epoch
             stale = 0
         else:

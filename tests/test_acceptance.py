@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. The end-to-end separation sweep (criterion 5) trains nine models and
-dominates the runtime.
+dominates the runtime; it and the exhaustive gradcheck (criterion 3) are
+marked ``slow``, so ``pytest -m "not slow"`` skips them.
 """
 
 import itertools
@@ -111,6 +112,7 @@ class TestCriterion2HandWorkedValues:
 
 
 class TestCriterion3GradientCorrectness:
+    @pytest.mark.slow
     def test_gradcheck_five_seeds(self):
         start = time.time()
         report = gradcheck(mode="intra", seeds=(0, 1, 2, 3, 4))
@@ -204,6 +206,7 @@ def separation_sweep():
     return results
 
 
+@pytest.mark.slow
 class TestCriterion5EndToEndSeparation:
     def test_separation(self, separation_sweep):
         r = separation_sweep

@@ -633,6 +633,14 @@ class TestGradcheckCommand:
         assert "PASS" not in captured.out
         assert "--seed" in captured.err
 
+    @pytest.mark.parametrize("seeds", ["0,0", "-2"])
+    def test_negative_or_repeated_seed_rejected(self, capsys, seeds):
+        code = cli.main(["gradcheck", f"--seed={seeds}"])
+        captured = capsys.readouterr()
+        assert code == pipeline.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --seed = '{seeds}' ")
+
 
 def cli_ini(tmp_path, config, out, extra=""):
     """An INI for ``config``'s corpus and fixtures; ``extra`` is appended
@@ -809,7 +817,8 @@ def test_unknown_key_exits_two_without_run_dir(tmp_path, capsys):
     ("epochs", "0"), ("epochs", "none"), ("batch_size", "0"),
     ("hidden", "0"), ("d_a", "0"), ("d_a", "-2"), ("learning_rate", "-1e-3"),
     ("learning_rate", "nan"), ("learning_rate", "inf"), ("dropout", "none"),
-    ("mode", "intre")])
+    ("mode", "intre"), ("patience", "0"), ("patience", "-3"),
+    ("seed", "-1")])
 def test_bad_train_value_exits_two_without_run_dir(tmp_path, capsys, key,
                                                    value):
     """A [train] value that would train nothing, or train on NaN, is
@@ -825,6 +834,29 @@ def test_bad_train_value_exits_two_without_run_dir(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, flag", [
+    ("-1", False), ("0,0", False), ("1, 2,1", False), ("x", False),
+    ("-1", True), ("3,3", True)])
+def test_bad_seed_list_exits_two_without_run_dir(tmp_path, capsys, seeds,
+                                                 flag):
+    """A negative, repeated or non-integer seed is rejected as the config
+    loads, naming the key or flag the list came from."""
+    config, _ = small_run_config(tmp_path)
+    out = tmp_path / "train"
+    ini = cli_ini(tmp_path, config, out)
+    if flag:
+        argv, source = [f"--seed={seeds}"], "--seed"
+    else:
+        ini.write_text(ini.read_text("utf-8").replace(
+            "seeds = 0\n", f"seeds = {seeds}\n"), "utf-8")
+        argv, source = [], "[run] seeds"
+    assert cli.main(["train", "--config", str(ini), *argv]) \
+        == pipeline.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} = ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from cscoref.commonsense import GenerationConfig
 from cscoref.corpus import Corpus, Document, Mention
 from cscoref.embed import EmbedderConfig
 from cscoref.pipeline import DESK_SPLIT_SPECS, preset
-from cscoref.scorer import (ModelDims, ModelParameters, forward_batch,
-                            init_parameters, save_checkpoint)
+from cscoref.scorer import (INIT_PIECE, ModelDims, ModelParameters,
+                            forward_batch, init_parameters, save_checkpoint)
 from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
 from cscoref import training
@@ -137,9 +138,21 @@ class TestAdam:
 
     def test_flat_step_bit_equal_to_per_block_reference(self):
         """50 steps of random gradients against the per-block update,
-        frozen as it was before the moments became one vector."""
-        dims = ModelDims(d=3, d_len=2, d_a=2, h=5, mode="intra",
-                         max_width_bucket=3)
+        frozen as it was before the moments became one vector, for a
+        vector shorter than one Adam piece and one whose last piece is
+        partial."""
+        small = ModelDims(d=3, d_len=2, d_a=2, h=5, mode="intra",
+                          max_width_bucket=3)
+        partial = ModelDims(d=4, d_len=2, d_a=2, h=500, mode="intra",
+                            max_width_bucket=3)
+        sizes = [ModelParameters(dims).flat.size for dims in (small, partial)]
+        assert sizes[0] < INIT_PIECE < sizes[1]
+        assert sizes[1] % INIT_PIECE != 0
+        for dims in (small, partial):
+            self.check_against_per_block_reference(dims)
+
+    @staticmethod
+    def check_against_per_block_reference(dims):
         params = init_parameters(dims, 1)
         ref = {n: a.copy() for n, a in params.blocks().items()}
         ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
@@ -162,7 +175,7 @@ class TestAdam:
                 update = (m / bias1) / (np.sqrt(v / bias2) + Adam.EPS)
                 ref[name] -= opt.lr * update
         for name, arr in params.blocks().items():
-            assert arr.tobytes() == ref[name].tobytes(), name
+            assert arr.tobytes() == ref[name].tobytes(), (dims.h, name)
 
 
 class TestTrain:
@@ -218,6 +231,41 @@ class TestTrain:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert (digest, history["epochs"][-1]["train_loss"]) \
             == self.PINNED_TRAINED[mode]
+
+    def test_training_state_is_five_parameter_vectors(self):
+        """Peak traced memory of a few steps at hidden 4096, where the
+        parameter vector dwarfs every activation: parameters, best-epoch
+        snapshot, gradients and Adam's two moments, plus a fraction of one
+        vector for activations and scratch (eight vectors before)."""
+        import tracemalloc
+
+        config = TrainConfig(mode="intra", epochs=2, patience=None, seed=0,
+                             hidden=4096, d_a=2, batch_size=4)
+        dims = config.model_dims(EMB)
+        data = make_random_dataset(dims, 3)
+        vector = ModelParameters(dims).flat.nbytes
+        tracemalloc.start()
+        try:
+            train(data, EMB, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / vector < 5.5
+
+    def test_later_epochs_leave_the_best_snapshot(self, small_spec,
+                                                  small_corpus):
+        """Training past the best epoch returns the bytes of a run that
+        stopped at it."""
+        data = build_dataset(small_corpus, EMB, "intra",
+                             inference_source=SyntheticProvider(small_spec))
+        config = TrainConfig(mode="intra", epochs=8, patience=None, seed=2,
+                             learning_rate=1e-2, hidden=16, d_a=2,
+                             batch_size=5)
+        long_params, history = train(data, EMB, config)
+        assert history["best_epoch"] < config.epochs - 1
+        short_params, _ = train(data, EMB, replace(
+            config, epochs=history["best_epoch"] + 1))
+        assert long_params.flat.tobytes() == short_params.flat.tobytes()
 
     def test_seed_changes_outcome(self, small_spec, small_corpus):
         outs = []
