@@ -2,11 +2,12 @@
 
 All three metrics read one contingency table ``n_ij = |K_i & R_j|`` of a key
 (gold) partition ``K`` and a response (system) partition ``R`` of the same
-mentions. ``evaluate`` adds the protocol used for corpus runs: per unit,
-singleton removal on both sides and universe harmonization, both done on the
-integer labels before the table is built, then arithmetic averaging across
-units. Its gold side (``GoldKey``) does not depend on the system clustering,
-so threshold tuning builds it once and scores every grid value against it.
+mentions. ``evaluate`` adds the protocol used for corpus runs: per unit (a
+subtopic, a topic or the whole corpus), singleton removal on both sides and
+universe harmonization, both done on the integer labels before the table is
+built, then arithmetic averaging across units. Its gold side (``GoldKey``)
+does not depend on the system clustering, so threshold tuning builds it once
+and scores every grid value against it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .corpus import Clustering, Corpus
+from .corpus import SCOPES, Clustering, Corpus
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,12 @@ def _unit_table(key: np.ndarray, response: np.ndarray,
 
 @dataclass
 class EvalOptions:
-    topic_level: bool = True
     drop_singletons: bool = True
-    unit: str = "topic"  # "topic" or "subtopic" granularity
+    unit: str = "topic"  # one of corpus.SCOPES
 
     def __post_init__(self):
-        if self.unit not in ("topic", "subtopic"):
-            raise ValueError(f"eval unit must be 'topic' or 'subtopic', "
+        if self.unit not in SCOPES:
+            raise ValueError(f"eval unit must be one of {SCOPES}, "
                              f"got {self.unit!r}")
 
 
@@ -223,8 +223,7 @@ class EvalReport:
             "aggregate": enc(self.aggregate) if self.aggregate else {},
             "conll_f1": self.conll_f1,
             "skipped_topics": list(self.skipped_topics),
-            "options": {"topic_level": self.options.topic_level,
-                        "drop_singletons": self.options.drop_singletons,
+            "options": {"drop_singletons": self.options.drop_singletons,
                         "unit": self.options.unit},
         }
 
@@ -246,9 +245,8 @@ class GoldKey:
         options = options or EvalOptions()
         gold = corpus.gold_clustering().assignment
         subset = None if mention_subset is None else frozenset(mention_subset)
-        scope = options.unit if options.topic_level else "corpus"
         units = []
-        for unit, members in corpus.units(scope).items():
+        for unit, members in corpus.units(options.unit).items():
             ids = [m.mention_id for m in members
                    if subset is None or m.mention_id in subset]
             if ids:
@@ -262,11 +260,11 @@ def evaluate(corpus: Corpus, system: Clustering,
              ) -> EvalReport:
     """Score a system clustering against the corpus gold partition.
 
-    Per unit (``options.unit``; with ``topic_level`` off, one ``"corpus"``
-    unit): remove singleton clusters from both key and response, harmonize
-    the surviving mention universes, compute the three metrics from the
-    unit's contingency table, then average precision/recall/F1
-    arithmetically across units. Units with no evaluated mention are left
+    Per unit (``options.unit``: each subtopic, each topic, or one
+    ``"corpus"`` unit): remove singleton clusters from both key and
+    response, harmonize the surviving mention universes, compute the three
+    metrics from the unit's contingency table, then average
+    precision/recall/F1 arithmetically across units. Units with no evaluated mention are left
     out; units whose key is empty after singleton removal are skipped and
     listed. ``mention_subset`` restricts the evaluation universe before
     anything else (e.g. to one generator difficulty class). System mentions

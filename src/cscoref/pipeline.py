@@ -172,24 +172,38 @@ CONFIG_KEYS = {
     },
     "train": _fields("train.", ("learning_rate", float), ("batch_size", int),
                      ("dropout", float), ("epochs", int), ("patience", int),
-                     ("seed", int), ("mode", str), ("d_a", int),
-                     ("hidden", int), ("pair_scope", str)),
+                     ("mode", str), ("d_a", int), ("hidden", int),
+                     ("pair_scope", str)),
     "cluster": {"threshold": ("threshold", float),
                 "scope": ("cluster_scope", str)},
-    "eval": _fields("eval_options.", ("topic_level", bool),
-                    ("drop_singletons", bool), ("unit", str)),
+    "eval": _fields("eval_options.", ("drop_singletons", bool),
+                    ("unit", str)),
 }
 
 
+# The keys that read ``none`` as None: no early stopping, a tuned
+# threshold, no endpoint, exemplars file or cache, or (the seed list and
+# the corpus and fixture paths) the preset's value.
+NONE_KEYS = frozenset({
+    ("train", "patience"), ("cluster", "threshold"), ("embedder", "endpoint"),
+    ("commonsense", "endpoint"), ("commonsense", "exemplars"),
+    ("commonsense", "cache"), ("commonsense", "fixtures"), ("run", "seeds"),
+    *(("corpus", split) for split in SPLITS),
+    *(("commonsense", f"fixtures_{split}") for split in SPLITS)})
+
+
 def _convert(section: str, key: str, raw: str, conv):
-    """A boolean takes only configparser's words; any other value reads
-    ``none`` as None."""
+    """A boolean takes only configparser's words; a key in NONE_KEYS reads
+    ``none`` as None, and any other key rejects it."""
     if conv is bool:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
         return configparser.ConfigParser.BOOLEAN_STATES[word]
     if raw.strip().lower() == "none":
+        if (section, key) not in NONE_KEYS:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: this key "
+                              f"does not take none")
         return None
     return conv(raw)
 
@@ -241,8 +255,8 @@ def _update(target, values: dict):
 def load_run_config(path) -> RunConfig:
     """The preset named by ``[run] preset`` (or the default), updated with
     the keys the file sets. Empty corpus and fixture paths and an empty
-    seed list are not set; a SyntheticSpec is built only when
-    ``synthetic_seed`` is set."""
+    seed list are not set; any ``synthetic_*`` key builds a SyntheticSpec,
+    its other fields at their defaults."""
     values = _read_values(path)
     config = preset(values.pop("preset", DEFAULT_PRESET))
     seeds = values.pop("seeds", None)
@@ -259,7 +273,7 @@ def load_run_config(path) -> RunConfig:
     prefix = "commonsense.synthetic_spec."
     synthetic = {path[len(prefix):]: values.pop(path)
                  for path in list(values) if path.startswith(prefix)}
-    if synthetic.get("seed") is not None:
+    if synthetic:
         values["commonsense.synthetic_spec"] = SyntheticSpec(**synthetic)
     return _update(config, values)
 
@@ -372,6 +386,7 @@ def cmd_synth(spec: SyntheticSpec, corpus_path, fixtures_path) -> int:
 
 
 def cmd_gen_inferences(config: RunConfig, split: str) -> int:
+    _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
     provider = build_provider(config, split)
     cache_path = config.commonsense.cache_path

@@ -29,3 +29,4 @@ def test_desk_run_ini_loads():
     config = load_run_config(ROOT / "demos" / "desk_run.ini")
     assert config.train.mode == "intra"
     assert set(config.commonsense.fixtures) == {"train", "dev", "test"}
+    assert config.eval_options.unit == "topic"

@@ -1,6 +1,6 @@
 import pytest
 
-from cscoref.corpus import Clustering, Corpus, Document, Mention
+from cscoref.corpus import SCOPES, Clustering, Corpus, Document, Mention
 from cscoref.metrics import (Contingency, EvalOptions, GoldKey, MetricScore,
                              b_cubed, ceaf_e, ceaf_e_table, conll_f1,
                              evaluate, muc)
@@ -219,8 +219,10 @@ class TestEvaluate:
     def test_corpus_level_option(self):
         corpus = _subtopic_corpus({"t0": [["a", "b"]], "t1": [["c", "d"]]})
         report = evaluate(corpus, corpus.gold_clustering(),
-                          EvalOptions(topic_level=False))
+                          EvalOptions(unit="corpus"))
         assert list(report.per_topic) == ["corpus"]
+        assert report.to_dict()["options"] == {"drop_singletons": True,
+                                               "unit": "corpus"}
 
     def test_extra_system_mentions_ignored(self):
         corpus = _subtopic_corpus({"t0": [["a", "b"]]})
@@ -278,9 +280,8 @@ def _random_eval_case(rng):
     subset = None
     if rng.random() < 0.3:
         subset = [m for m in ids if rng.random() < 0.6]
-    options = EvalOptions(topic_level=bool(rng.random() < 0.8),
-                          drop_singletons=bool(rng.random() < 0.7),
-                          unit=str(rng.choice(["topic", "subtopic"])))
+    options = EvalOptions(drop_singletons=bool(rng.random() < 0.7),
+                          unit=str(rng.choice(SCOPES, p=[0.4, 0.4, 0.2])))
     return corpus, system, options, subset
 
 
@@ -302,7 +303,7 @@ def _oracle(corpus, system, options=None, subset=None):
     options = options or EvalOptions()
     return evaluate_oracle(corpus, system,
                            drop_singletons=options.drop_singletons,
-                           topic_level=options.topic_level,
+                           topic_level=options.unit != "corpus",
                            unit=options.unit, mention_subset=subset)
 
 
@@ -314,6 +315,19 @@ class TestEvaluateMatchesOracle:
                               mention_subset=subset)
             assert_matches_oracle(report,
                                   _oracle(corpus, system, options, subset))
+
+    def test_corpus_unit_is_the_whole_corpus(self, rng):
+        """``unit="corpus"`` scores every case as the oracle scores it with
+        no topic units: the same per-unit scores, skipped units and CoNLL."""
+        for _ in range(100):
+            corpus, system, options, subset = _random_eval_case(rng)
+            options = EvalOptions(drop_singletons=options.drop_singletons,
+                                  unit="corpus")
+            report = evaluate(corpus, Clustering(system), options,
+                              mention_subset=subset)
+            assert_matches_oracle(report, evaluate_oracle(
+                corpus, system, drop_singletons=options.drop_singletons,
+                topic_level=False, mention_subset=subset))
 
     def test_prebuilt_key_scores_alike(self, rng):
         for _ in range(50):

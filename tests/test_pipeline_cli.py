@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -126,6 +127,7 @@ scope = topic
 
 [eval]
 drop_singletons = false
+unit = subtopic
 """, encoding="utf-8")
         config = load_run_config(ini)
         assert config.out_dir == "runs/demo"
@@ -140,15 +142,64 @@ drop_singletons = false
         assert config.train.epochs == 4
         assert config.threshold == 0.45
         assert config.cluster_scope == "topic"
-        assert config.eval_options.drop_singletons is False
+        assert config.eval_options == EvalOptions(drop_singletons=False,
+                                                  unit="subtopic")
+
+    def test_one_synthetic_key_builds_the_spec(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[commonsense]\nsynthetic_n_topics = 2\n",
+                       encoding="utf-8")
+        spec = load_run_config(ini).commonsense.synthetic_spec
+        assert spec == SyntheticSpec(n_topics=2)
+        assert spec.seed == 0
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in pipeline.CONFIG_KEYS.items()
+        for key in keys])
+    def test_none_loads_or_names_the_key(self, tmp_path, section, key):
+        """``none`` loads only where it means something (no early stopping,
+        a tuned threshold, no endpoint or file, or a value left unset);
+        any other key rejects it as the config loads, naming the key,
+        instead of handing None to a check that compares it."""
+        takes_none = {
+            ("train", "patience"), ("cluster", "threshold"),
+            ("embedder", "endpoint"), ("commonsense", "endpoint"),
+            ("commonsense", "exemplars"), ("commonsense", "cache"),
+            ("run", "seeds"), ("corpus", "train"), ("corpus", "dev"),
+            ("corpus", "test"), ("commonsense", "fixtures"),
+            ("commonsense", "fixtures_train"),
+            ("commonsense", "fixtures_dev"),
+            ("commonsense", "fixtures_test")}
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = none\n", encoding="utf-8")
+        if (section, key) in takes_none:
+            load_run_config(ini)
+        else:
+            with pytest.raises(ConfigError,
+                               match=rf"^\[{section}\] {key} = 'none'"):
+                load_run_config(ini)
+
+    def test_readme_key_table_matches_config_keys(self):
+        """README's key table lists, per section, exactly the keys that
+        CONFIG_KEYS accepts, in the same order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text("utf-8")
+        rows = readme.split("| Section | Keys |\n|---|---|\n")[1]
+        table = {}
+        for row in rows.split("\n\n")[0].splitlines():
+            section, keys = row.strip("|").split("|")
+            table[section.strip().strip("`[]")] = re.findall(r"`(\w+)`",
+                                                            keys)
+        assert table == {section: list(keys) for section, keys
+                         in pipeline.CONFIG_KEYS.items()}
+        assert list(table) == list(pipeline.CONFIG_KEYS)
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
             load_run_config("/nonexistent/run.ini")
 
     @pytest.mark.parametrize("section, key", [
-        ("eval", "topic_level"), ("eval", "drop_singletons"),
-        ("commonsense", "strict")])
+        ("eval", "drop_singletons"), ("commonsense", "strict")])
     def test_non_boolean_word_rejected(self, tmp_path, section, key):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[{section}]\n{key} = ture\n", encoding="utf-8")
@@ -160,8 +211,9 @@ drop_singletons = false
         ("1", True), (" YES ", True)])
     def test_boolean_words(self, tmp_path, word, value):
         ini = tmp_path / "run.ini"
-        ini.write_text(f"[eval]\ntopic_level = {word}\n", encoding="utf-8")
-        assert load_run_config(ini).eval_options.topic_level is value
+        ini.write_text(f"[eval]\ndrop_singletons = {word}\n",
+                       encoding="utf-8")
+        assert load_run_config(ini).eval_options.drop_singletons is value
 
     @pytest.mark.parametrize("text, named", [
         ("[train]\nlearning_rat = 0.5\n", r"\[train\] learning_rat"),
@@ -227,7 +279,6 @@ batch_size = 16
 dropout = 0.1
 epochs = 3
 patience = none
-seed = 8
 mode = inter
 d_a = 3
 hidden = 24
@@ -238,9 +289,8 @@ threshold = 0.35
 scope = topic
 
 [eval]
-topic_level = false
 drop_singletons = off
-unit = subtopic
+unit = corpus
 """, encoding="utf-8")
         expected = pipeline.RunConfig(
             corpus_paths={"train": "a/train.jsonl", "dev": "a/dev.jsonl",
@@ -265,11 +315,10 @@ unit = subtopic
                                             mode="fewshot")),
             train=pipeline.TrainConfig(
                 learning_rate=0.02, batch_size=16, dropout=0.1, epochs=3,
-                patience=None, seed=8, mode="inter", d_a=3, hidden=24,
+                patience=None, mode="inter", d_a=3, hidden=24,
                 pair_scope="topic"),
             threshold=0.35, cluster_scope="topic",
-            eval_options=EvalOptions(topic_level=False,
-                                     drop_singletons=False, unit="subtopic"),
+            eval_options=EvalOptions(drop_singletons=False, unit="corpus"),
             out_dir="runs/every", seeds=(7, 9, 11))
         config = load_run_config(ini)
         for name in asdict(expected):
@@ -813,6 +862,23 @@ def test_unknown_key_exits_two_without_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, named", [
+    ("[eval]\ntopic_level = false\n", "[eval] topic_level"),
+    ("seed = 7\n", "[train] seed")], ids=["topic_level", "train-seed"])
+def test_removed_key_exits_two_without_run_dir(tmp_path, capsys, extra,
+                                               named):
+    """``[eval] topic_level`` (now ``unit = corpus``) and ``[train] seed``
+    (each ``[run] seeds`` entry sets it) are unknown keys."""
+    config, _ = small_run_config(tmp_path)
+    out = tmp_path / "train"
+    ini = cli_ini(tmp_path, config, out, extra)
+    assert cli.main(["train", "--config", str(ini)]) == pipeline.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {named}; known: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("epochs", "0"), ("epochs", "none"), ("batch_size", "0"),
     ("hidden", "0"), ("d_a", "0"), ("d_a", "-2"), ("learning_rate", "-1e-3"),
@@ -986,6 +1052,7 @@ class TestCliWiring:
     @pytest.mark.parametrize("command, args", [
         ("score", ["--clustering", "clustering.jsonl"]),
         ("explain", ["--checkpoint", "checkpoint.bin", "--pair", "a,b"]),
+        ("gen-inferences", []),
     ])
     def test_missing_split_path_named(self, tmp_path, capsys, command,
                                       args):
