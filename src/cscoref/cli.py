@@ -2,11 +2,13 @@
 
 Subcommands: synth, gen-inferences, train, predict, score, explain,
 gradcheck. Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error (a missing input file among them), 3 runtime failure
-(an unreadable checkpoint, an unreadable or unwritable inference cache or
-fixture file, a corrupt inference cache or fixture line, a failed embedding
-or generation request, a non-finite training loss, any other
-operating-system error, such as an output path that cannot be created).
+configuration error (a missing input file, a config value naming its
+``[section] key``, a bad corpus, clustering or exemplar line), 3 runtime
+failure (an unreadable or corrupt checkpoint, an unreadable or unwritable
+inference cache or fixture file, a corrupt inference cache or fixture line,
+a failed embedding or generation request, a non-finite training loss, any
+other operating-system error, such as an output path that cannot be
+created). A bad line of any input file is named as ``path:line: …``.
 Errors print one ``error:`` line to stderr; a ``train`` or ``predict`` run
 directory that was opened is marked ``"status": "failed"`` with the error's
 class and message in ``manifest.json``.

@@ -7,7 +7,8 @@ import json
 
 import numpy as np
 
-from .corpus import Clustering
+from .corpus import (Clustering, CorpusFormatError, check_record,
+                     json_lines, naming_os_errors)
 
 
 def check_unit_interval(name: str, value: float):
@@ -125,14 +126,15 @@ def read_clustering(path):
     """Returns (clustering, metadata) from a clustering file."""
     assignment = {}
     metadata = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "meta" in record:
-                metadata = record["meta"]
+    with naming_os_errors(path, CorpusFormatError), open(path, "rb") as fh:
+        for lineno, record in json_lines(fh, path, CorpusFormatError):
+            where = f"{path}:{lineno}"
+            if type(record) is dict and "meta" in record:
+                metadata = check_record(record, {"meta": dict}, where,
+                                        "metadata record",
+                                        CorpusFormatError)["meta"]
             else:
+                check_record(record, {"mention_id": str, "cluster_id": str},
+                             where, "clustering record", CorpusFormatError)
                 assignment[record["mention_id"]] = record["cluster_id"]
     return Clustering(assignment), metadata

@@ -20,7 +20,6 @@ and fixture files alike.
 from __future__ import annotations
 
 import fcntl
-import json
 import os
 import re
 import threading
@@ -28,12 +27,11 @@ import time
 import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
-from operator import itemgetter
 from typing import Optional
 
 import requests
 
-from .corpus import all_strings, naming_os_errors
+from .corpus import all_strings, check_record, json_lines, naming_os_errors
 
 GENERATION_CREDENTIAL_ENV = "CSCOREF_GENERATION_API_KEY"
 
@@ -176,35 +174,8 @@ def parse_completion(text: str, k: int,
     return before, after
 
 
-_record_fields = itemgetter("doc_id", "mention_id", "provenance", "before",
-                            "after")
-
-
-_DECODER = json.JSONDecoder()
-
-
-def _parse_line(raw: bytes):
-    """The JSON value of one line, or None when it does not decode."""
-    try:
-        # json.loads less its wrappers: JSON whitespace around one value
-        text = raw.decode("utf-8").strip(" \t\n\r")
-        value, end = _DECODER.raw_decode(text)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return value if end == len(text) else None
-
-
-def _is_record(rec) -> bool:
-    if not isinstance(rec, dict):
-        return False
-    try:
-        doc_id, mention_id, provenance, before, after = _record_fields(rec)
-    except KeyError:
-        return False
-    return (isinstance(doc_id, str) and isinstance(mention_id, str)
-            and isinstance(provenance, str)
-            and isinstance(before, list) and isinstance(after, list)
-            and all_strings(before) and all_strings(after))
+_RECORD_FIELDS = {"doc_id": str, "mention_id": str, "before": list,
+                  "after": list, "provenance": str}
 
 
 def _key(rec: dict) -> tuple:
@@ -222,18 +193,18 @@ def _scan_records(data: bytes, path, entries: dict, lineno: int = 0) -> int:
     the path and line number; ``lineno`` is the number of lines in the file
     before ``data``.
     """
-    tail = data[data.rfind(b"\n") + 1:]
-    if tail.strip() and _parse_line(tail) is None:
-        data = data[:len(data) - len(tail)]
-    for i, raw in enumerate(data.split(b"\n"), start=lineno + 1):
-        if not raw.strip():
-            continue
-        rec = _parse_line(raw)
-        if not _is_record(rec):
-            problem = ("is not valid JSON" if rec is None else
-                       "is not a record: doc_id, mention_id and provenance "
-                       "must be strings, before and after lists of strings")
-            raise InferenceError(f"{path}:{i}: line {problem}")
+    lines = data.split(b"\n")
+    try:
+        list(json_lines(lines[-1:], path, InferenceError))
+    except InferenceError:  # a torn tail
+        data, lines = data[:len(data) - len(lines[-1])], lines[:-1]
+    for i, rec in json_lines(lines, path, InferenceError, lineno):
+        check_record(rec, _RECORD_FIELDS, f"{path}:{i}", "inference record",
+                     InferenceError)
+        if not (all_strings(rec["before"]) and all_strings(rec["after"])):
+            side = "after" if all_strings(rec["before"]) else "before"
+            raise InferenceError(f"{path}:{i}: inference record field "
+                                 f"{side!r} must be an array of strings")
         entries.setdefault(_key(rec), rec)
     return len(data)
 
@@ -259,10 +230,10 @@ def read_records(path) -> dict[tuple, dict]:
 
     A torn tail (an unterminated last line that does not parse) is skipped
     with a warning. Any other line that does not parse, or is not an object
-    whose doc_id, mention_id and provenance are strings and whose before and
-    after are lists of strings, raises ``InferenceError`` naming the path
-    and line number. When a key appears twice (two processes generated the
-    same mention concurrently), the first record wins.
+    of just these fields, doc_id, mention_id and provenance strings and
+    before and after lists of strings, raises ``InferenceError`` naming the
+    path and line number. When a key appears twice (two processes generated
+    the same mention concurrently), the first record wins.
     """
     entries: dict[tuple, dict] = {}
     _load(path, entries)
@@ -416,6 +387,7 @@ class FixtureProvider:
     waits_on_service = False  # fills generate on the calling thread
 
     def __init__(self, path, strict: bool = True):
+        self.path = path
         self.strict = strict
         self._by_mention = {
             rec["mention_id"]: InferenceSet(rec["mention_id"], rec["before"],
@@ -431,7 +403,7 @@ class FixtureProvider:
         if found is None:
             if self.strict:
                 raise InferenceError(
-                    f"no fixture inference set for mention "
+                    f"{self.path}: no fixture inference set for mention "
                     f"{mention.mention_id!r}")
             warnings.warn(
                 f"no fixture for mention {mention.mention_id!r}; returning "

@@ -8,15 +8,14 @@ object with exactly one top-level key naming the record kind:
     {"mention": {"mention_id": ..., "doc_id": ..., "sentence_index": ..,
                  "token_start": .., "token_end": .., "text": ..., "gold_cluster_id": ...}}
 
-``gold_cluster_id`` is optional; all other fields are required and unknown
-fields are rejected.
+Ids, text and tokens are strings, the indices integers. ``gold_cluster_id``
+is optional; all other fields are required and unknown fields are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -48,17 +47,79 @@ def all_strings(items) -> bool:
     return True
 
 
+_DECODER = json.JSONDecoder()
+
+
+def json_lines(lines, path, error, lineno=0):
+    """Yield ``(line number, value)`` for each non-blank line of ``lines``,
+    an iterable of ``bytes`` lines such as a file opened ``"rb"``, after
+    ``lineno`` lines. The one decoder of every JSON-lines input: a line that
+    is not UTF-8, or not exactly one JSON value, raises ``error`` as
+    ``path:line: …``, quoting ``json.loads``'s own reason."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        try:  # json.loads less its wrappers: JSON whitespace around a value
+            text = raw.decode("utf-8").strip(" \t\n\r")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: not valid UTF-8") from exc
+        if not text:
+            continue
+        try:
+            value, end = _DECODER.raw_decode(text)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(text):  # not one value: json.loads says why
+            try:
+                json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: not valid JSON "
+                            f"({exc.msg})") from exc
+        yield lineno, value
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def check_record(record, fields: dict, where: str, kind: str, error,
+                 optional=frozenset()):
+    """``record`` if it is an object holding the fields of ``fields``,
+    ``{name: type}``, but perhaps those in ``optional``, and no other, each
+    of its type: ``type(value) is t``, so ``true`` is not an integer.
+    Otherwise raise ``error`` as ``where: …`` naming the unknown, missing
+    and wrongly typed fields of the ``kind`` of record."""
+    if type(record) is not dict:
+        raise error(f"{where}: {kind} is {_JSON_TYPES[type(record)]}, "
+                    f"not an object")
+    if len(record) == len(fields):  # then no field missing means no other
+        for name, t in fields.items():
+            if type(record.get(name)) is not t:
+                break
+        else:
+            return record
+    problems = [f"{what} field(s) {sorted(names)} in {kind}"
+                for what, names in (
+                    ("unknown", record.keys() - fields.keys()),
+                    ("missing", fields.keys() - record.keys() - optional))
+                if names]
+    problems += [f"{kind} field {name!r} must be {_JSON_TYPES[fields[name]]}"
+                 f", not {_JSON_TYPES[type(value)]}"
+                 for name, value in record.items()
+                 if name in fields and type(value) is not fields[name]]
+    if problems:
+        raise error(f"{where}: {'; '.join(problems)}")
+    return record
+
+
 # unit scopes from narrowest to broadest: a subtopic lies in one topic
 SCOPES = ("subtopic", "topic", "corpus")
 
-DOC_FIELDS = frozenset(("doc_id", "topic_id", "subtopic_id", "sentences"))
-MENTION_FIELDS = frozenset(("mention_id", "doc_id", "sentence_index",
-                            "token_start", "token_end", "text",
-                            "gold_cluster_id"))
-MENTION_REQUIRED = MENTION_FIELDS - {"gold_cluster_id"}
-_DECODER = json.JSONDecoder()
-# the surrogates that errors="surrogateescape" decodes bad bytes to
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+_DOC_FIELDS = {"doc_id": str, "topic_id": str, "subtopic_id": str,
+               "sentences": list}
+_MENTION_FIELDS = {"mention_id": str, "doc_id": str, "sentence_index": int,
+                   "token_start": int, "token_end": int, "text": str,
+                   "gold_cluster_id": str}
+_MENTION_OPTIONAL = frozenset({"gold_cluster_id"})
 
 
 @dataclass(frozen=True)
@@ -69,6 +130,10 @@ class Document:
     sentences: tuple  # tuple of tuples of token strings
 
     def __post_init__(self):
+        if not all(map(isinstance, self.sentences,
+                       itertools.repeat((list, tuple)))):
+            raise CorpusFormatError(f"document {self.doc_id!r}: sentences "
+                                    f"must be lists of tokens")
         sentences = tuple(map(tuple, self.sentences))
         object.__setattr__(self, "sentences", sentences)
         for i, sent in enumerate(sentences):
@@ -230,85 +295,36 @@ class Corpus:
         return {unit: units[unit] for unit in sorted(units)}
 
 
-def _check_fields(record: dict, allowed: frozenset, required: frozenset,
-                  kind: str, lineno: int):
-    if isinstance(record, dict) and required <= record.keys() <= allowed:
-        return
-    unknown = set(record) - allowed
-    if unknown:
-        raise CorpusFormatError(
-            f"line {lineno}: unknown field(s) {sorted(unknown)} in "
-            f"{kind} record")
-    missing = required - set(record)
-    if missing:
-        raise CorpusFormatError(
-            f"line {lineno}: missing field(s) {sorted(missing)} in "
-            f"{kind} record")
-
-
 def load_corpus(path) -> Corpus:
     """Load a JSON-lines corpus file, validating every record.
 
     A missing file raises ``FileNotFoundError``; any other file that cannot
-    be read (a directory, no permission) or that is not valid UTF-8 raises
-    ``CorpusFormatError`` naming the path.
+    be read (a directory, no permission), or a line that breaks the format,
+    raises ``CorpusFormatError`` naming the path (and line).
     """
-    try:
-        return _read_corpus(path)
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(path)
-        where = path if line is None else f"{path}:{line}"
-        raise CorpusFormatError(f"{where}: not valid UTF-8") from exc
-
-
-def _undecodable_line(path) -> Optional[int]:
-    """The number of the first line of ``path`` that is not valid UTF-8,
-    counted as ``_read_corpus`` counts lines, or None if the file has
-    changed since and decodes. Text decoding reads ahead in blocks, so
-    only this second pass, run on the error path, finds the line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if _ESCAPED_BYTE.search(line):
-                return lineno
-    return None
-
-
-def _read_corpus(path) -> Corpus:
     documents: list[Document] = []
     mentions: list[Mention] = []
-    with naming_os_errors(path, CorpusFormatError), \
-            open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:  # json.loads less its wrappers: no whitespace is left
-                record, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError:
-                end = None
-            if end != len(line):  # not one value: json.loads says why
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"line {lineno}: not valid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or len(record) != 1:
+    with naming_os_errors(path, CorpusFormatError), open(path, "rb") as fh:
+        for lineno, record in json_lines(fh, path, CorpusFormatError):
+            where = f"{path}:{lineno}"
+            if type(record) is not dict or len(record) != 1:
                 raise CorpusFormatError(
-                    f"line {lineno}: expected a single-key record object")
+                    f"{where}: expected a single-key record object")
             kind, body = next(iter(record.items()))
             if kind == "doc":
-                _check_fields(body, DOC_FIELDS, DOC_FIELDS, "doc", lineno)
+                check_record(body, _DOC_FIELDS, where, "doc record",
+                             CorpusFormatError)
                 try:
                     documents.append(Document(**body))
                 except CorpusFormatError as exc:
-                    raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+                    raise CorpusFormatError(f"{where}: {exc}") from exc
             elif kind == "mention":
-                _check_fields(body, MENTION_FIELDS, MENTION_REQUIRED,
-                              "mention", lineno)
+                check_record(body, _MENTION_FIELDS, where, "mention record",
+                             CorpusFormatError, _MENTION_OPTIONAL)
                 mentions.append(Mention(**body))
             else:
                 raise CorpusFormatError(
-                    f"line {lineno}: unknown record kind {kind!r}")
+                    f"{where}: unknown record kind {kind!r}")
     return Corpus(documents, mentions)
 
 

@@ -25,9 +25,11 @@ from .cluster import check_unit_interval, write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
                           PromptExemplar, get_inferences)
-from .corpus import SCOPES, Corpus, load_corpus, write_corpus
+from .corpus import (SCOPES, Corpus, CorpusFormatError, check_record,
+                     json_lines, load_corpus, naming_os_errors,
+                     write_corpus)
 from .embed import EmbedderConfig
-from .metrics import EvalOptions, EvalReport, evaluate
+from .metrics import EvalOptions, EvalReport, GoldKey, evaluate
 from .scorer import (ModelParameters, forward_batch, load_checkpoint,
                      save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
@@ -192,9 +194,13 @@ NONE_KEYS = frozenset({
     *(("commonsense", f"fixtures_{split}") for split in SPLITS)})
 
 
+_TYPE_WORDS = {int: "an integer", float: "a number"}
+
+
 def _convert(section: str, key: str, raw: str, conv):
     """A boolean takes only configparser's words; a key in NONE_KEYS reads
-    ``none`` as None, and any other key rejects it."""
+    ``none`` as None, and any other key rejects it. A value ``conv`` cannot
+    convert is a ConfigError naming the key."""
     if conv is bool:
         word = raw.strip().lower()
         if word not in configparser.ConfigParser.BOOLEAN_STATES:
@@ -205,18 +211,31 @@ def _convert(section: str, key: str, raw: str, conv):
             raise ConfigError(f"[{section}] {key} = {raw!r}: this key "
                               f"does not take none")
         return None
-    return conv(raw)
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not "
+                          f"{_TYPE_WORDS[conv]}") from None
 
 
 def _read_values(path) -> dict:
     """{field: value} for every key the file sets; an unknown section or
-    key, including any key under [DEFAULT], is a ConfigError."""
+    key, including any key under [DEFAULT], is a ConfigError, and so is a
+    file that is not valid UTF-8 or cannot be read."""
+    try:
+        with naming_os_errors(path, ConfigError), open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc.message}") from None
+        parser.read_string(data.decode("utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not valid UTF-8") from None
+    except configparser.Error as exc:  # one line: it may quote the text
+        raise ConfigError(f"{path}: {' '.join(exc.message.split())}") \
+            from None
     if parser.defaults():
         raise ConfigError(f"[DEFAULT] {', '.join(parser.defaults())}: "
                           f"[DEFAULT] keys would be set in every section")
@@ -256,7 +275,8 @@ def load_run_config(path) -> RunConfig:
     """The preset named by ``[run] preset`` (or the default), updated with
     the keys the file sets. Empty corpus and fixture paths and an empty
     seed list are not set; any ``synthetic_*`` key builds a SyntheticSpec,
-    its other fields at their defaults."""
+    its other fields at their defaults. A value a settings class rejects is
+    a ConfigError naming ``path``."""
     values = _read_values(path)
     config = preset(values.pop("preset", DEFAULT_PRESET))
     seeds = values.pop("seeds", None)
@@ -271,25 +291,28 @@ def load_run_config(path) -> RunConfig:
         if shared:
             values.setdefault(f"commonsense.fixtures.{split}", shared)
     prefix = "commonsense.synthetic_spec."
-    synthetic = {path[len(prefix):]: values.pop(path)
-                 for path in list(values) if path.startswith(prefix)}
-    if synthetic:
-        values["commonsense.synthetic_spec"] = SyntheticSpec(**synthetic)
-    return _update(config, values)
+    synthetic = {key[len(prefix):]: values.pop(key)
+                 for key in list(values) if key.startswith(prefix)}
+    try:
+        if synthetic:
+            values["commonsense.synthetic_spec"] = SyntheticSpec(**synthetic)
+        return _update(config, values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_EXEMPLAR_FIELDS = {"context": str, "event": str, "before": str,
+                    "after": str}
 
 
 def load_exemplars(path) -> list:
-    exemplars = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            exemplars.append(PromptExemplar(
-                context=rec["context"], event=rec["event"],
-                before=rec["before"], after=rec["after"]))
-    return exemplars
+    """The few-shot exemplars of a JSON-lines file."""
+    with naming_os_errors(path, CorpusFormatError), open(path, "rb") as fh:
+        return [PromptExemplar(**check_record(
+                    record, _EXEMPLAR_FIELDS, f"{path}:{lineno}",
+                    "exemplar record", CorpusFormatError))
+                for lineno, record in json_lines(fh, path,
+                                                 CorpusFormatError)]
 
 
 def build_provider(config: RunConfig, split: str,
@@ -298,21 +321,32 @@ def build_provider(config: RunConfig, split: str,
     if cs.provider == "fixture":
         path = cs.fixtures.get(split)
         if path is None:
-            raise ConfigError(f"no fixture path configured for {split!r}")
+            raise ConfigError(f"no fixture path configured for {split!r}: "
+                              f"set [commonsense] fixtures or "
+                              f"fixtures_{split}")
+        if not os.path.exists(path):
+            raise ConfigError(f"[commonsense] fixtures or fixtures_{split} = "
+                              f"{path!r} does not exist")
         strict = cs.strict if cs.strict is not None else default_strict
         return FixtureProvider(path=path, strict=strict)
     if cs.provider == "synthetic":
         if cs.synthetic_spec is None:
-            raise ConfigError("synthetic provider requires synthetic_* keys")
+            raise ConfigError("[commonsense] provider = 'synthetic' "
+                              "requires synthetic_* keys")
         return SyntheticProvider(cs.synthetic_spec)
     if cs.provider == "service":
         if not cs.endpoint:
-            raise ConfigError("service provider requires an endpoint")
+            raise ConfigError("[commonsense] provider = 'service' requires "
+                              "[commonsense] endpoint")
+        if cs.exemplars_path and not os.path.exists(cs.exemplars_path):
+            raise ConfigError(f"[commonsense] exemplars = "
+                              f"{cs.exemplars_path!r} does not exist")
         exemplars = (load_exemplars(cs.exemplars_path)
                      if cs.exemplars_path else None)
         return GenerationServiceProvider(cs.endpoint, model_id=cs.model_id,
                                          exemplars=exemplars)
-    raise ConfigError(f"unknown commonsense provider {cs.provider!r}")
+    raise ConfigError(f"[commonsense] provider = {cs.provider!r} is not one "
+                      f"of fixture, synthetic, service")
 
 
 def open_run_dir(config: RunConfig, command: str) -> str:
@@ -320,8 +354,17 @@ def open_run_dir(config: RunConfig, command: str) -> str:
     out = config.out_dir
     manifest_path = os.path.join(out, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        # the manifest is one indented document this program writes, not
+        # a JSON-lines input, so it is read whole
+        try:
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{manifest_path}: not a run manifest "
+                              f"({exc})") from None
+        if type(manifest) is not dict:
+            raise ConfigError(f"{manifest_path}: not a run manifest (not "
+                              f"a JSON object)")
         if manifest.get("status") == "completed":
             raise ConfigError(
                 f"run directory {out!r} already holds a completed run")
@@ -391,7 +434,8 @@ def cmd_gen_inferences(config: RunConfig, split: str) -> int:
     provider = build_provider(config, split)
     cache_path = config.commonsense.cache_path
     if cache_path is None:
-        raise ConfigError("gen-inferences requires a cache path")
+        raise ConfigError("gen-inferences requires a cache path: set "
+                          "[commonsense] cache")
     cache = InferenceCache(cache_path)
     results = get_inferences(provider, corpus, config.commonsense.generation,
                              cache=cache)
@@ -402,11 +446,12 @@ def cmd_gen_inferences(config: RunConfig, split: str) -> int:
 def _require_paths(config: RunConfig, splits):
     for split in splits:
         if split not in config.corpus_paths:
-            raise ConfigError(f"no corpus path configured for {split!r}")
+            raise ConfigError(f"no corpus path configured for {split!r}: "
+                              f"set [corpus] {split}")
         if not os.path.exists(config.corpus_paths[split]):
             raise ConfigError(
-                f"corpus path for {split!r} does not exist: "
-                f"{config.corpus_paths[split]}")
+                f"[corpus] {split} = {config.corpus_paths[split]!r} does "
+                f"not exist")
     if not config.seeds:
         raise ConfigError("seed list must be non-empty")
 
@@ -449,10 +494,20 @@ def _load_checked_checkpoint(config: RunConfig,
     expected = replace(config.train.model_dims(config.embedder),
                        mode=params.dims.mode)
     if params.dims != expected:
-        raise ConfigError(
-            f"checkpoint dims {params.dims} do not match config "
-            f"{expected}")
+        differ = [f"{_DIM_KEYS.get(name, name)} = {getattr(expected, name)}"
+                  f" but the checkpoint's {name} = "
+                  f"{getattr(params.dims, name)}"
+                  for name in asdict(expected)
+                  if getattr(expected, name) != getattr(params.dims, name)]
+        raise ConfigError(f"{checkpoint_path}: checkpoint dims do not match "
+                          f"config: {'; '.join(differ)}")
     return params
+
+
+# the config key that sets each ModelDims field other than mode and version
+_DIM_KEYS = {"d": "[embedder] d", "d_len": "[embedder] d_len",
+             "max_width_bucket": "[embedder] max_width_bucket",
+             "d_a": "[train] d_a", "h": "[train] hidden"}
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -556,7 +611,11 @@ def cmd_score(config: RunConfig, clustering_path, split: str = "test") -> int:
     _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
     system, _ = read_clustering(clustering_path)
-    report = evaluate(corpus, system, config.eval_options)
+    key = GoldKey.build(corpus, config.eval_options)
+    try:
+        report = evaluate(corpus, system, config.eval_options, key=key)
+    except ValueError as exc:  # with the key built, a missed gold mention
+        raise CorpusFormatError(f"{clustering_path}: {exc}") from None
     print(report.render_table())
     print(f"CoNLL F1: {report.conll_f1:.4f}")
     out = config.out_dir

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import naming_os_errors
+from .corpus import check_record, json_lines, naming_os_errors
 
 MODES = ("baseline", "intra", "inter")
 
@@ -732,45 +732,51 @@ def save_checkpoint(params: ModelParameters, path):
             fh.write(arr)  # from the array's own buffer, no copy
 
 
+_HEADER_FIELDS = {"version": int, "d": int, "d_len": int, "d_a": int,
+                  "h": int, "mode": str, "max_width_bucket": int}
+_BLOCK_FIELDS = {"name": str, "shape": list}
+
+
 def load_checkpoint(path) -> ModelParameters:
     """Read a checkpoint written by ``save_checkpoint``.
 
     A missing file raises ``FileNotFoundError``; a file that cannot be
     read otherwise (a directory, no permission), is not a checkpoint, or
-    is truncated or corrupt raises ``ScorerError``.
+    is truncated or corrupt raises ``ScorerError`` naming the path.
     """
     with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
         magic = fh.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise ScorerError(f"{path}: not a checkpoint file")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-            dims = ModelDims(d=header["d"], d_len=header["d_len"],
-                             d_a=header["d_a"], h=header["h"],
-                             mode=header["mode"],
-                             max_width_bucket=header["max_width_bucket"],
-                             version=header["version"])
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError) as exc:
-            raise ScorerError(f"{path}: corrupt checkpoint header") from exc
-        params = ModelParameters(dims)
-        for name, arr in params.items():
-            line = fh.readline().decode("utf-8")
-            try:
-                meta = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScorerError(
-                    f"checkpoint truncated or corrupt at block {name}"
-                ) from exc
+        header = _checkpoint_line(fh, path, 2, "checkpoint header",
+                                  _HEADER_FIELDS)
+        try:  # a mode or a size the model cannot take
+            params = ModelParameters(ModelDims(**header))
+        except ValueError as exc:
+            raise ScorerError(f"{path}:2: {exc}") from exc
+        for lineno, (name, arr) in enumerate(params.items(), start=3):
+            meta = _checkpoint_line(fh, path, lineno, "checkpoint block line",
+                                    _BLOCK_FIELDS)
             if meta["name"] != name:
                 raise ScorerError(
-                    f"checkpoint block order mismatch: expected {name}, "
-                    f"found {meta['name']}")
+                    f"{path}:{lineno}: checkpoint block order mismatch: "
+                    f"expected {name}, found {meta['name']}")
             shape = tuple(meta["shape"])
             if shape != arr.shape:
                 raise ScorerError(
-                    f"checkpoint block {name} has shape {shape}, expected "
-                    f"{arr.shape}")
+                    f"{path}:{lineno}: checkpoint block {name} has shape "
+                    f"{shape}, expected {arr.shape}")
             if fh.readinto(arr) != arr.nbytes:  # straight into the view
-                raise ScorerError(f"checkpoint truncated in block {name}")
+                raise ScorerError(
+                    f"{path}: checkpoint truncated in block {name}")
+        if fh.read(1):
+            raise ScorerError(f"{path}: bytes after the last block")
     return params
+
+
+def _checkpoint_line(fh, path, lineno: int, kind: str, fields: dict):
+    """The next line of ``fh`` as a record of ``fields``; the magic is line
+    1, the header line 2. An empty line holds none of the fields."""
+    _, record = next(json_lines((fh.readline(),), path, ScorerError,
+                                lineno - 1), (lineno, {}))
+    return check_record(record, fields, f"{path}:{lineno}", kind, ScorerError)

@@ -574,8 +574,8 @@ class TestFixtureProvider:
         with pytest.raises(InferenceError) as exc:
             FixtureProvider(path)
         assert str(exc.value) == (
-            f"{path}:2: line is not a record: doc_id, mention_id and "
-            f"provenance must be strings, before and after lists of strings")
+            f"{path}:2: inference record field {side!r} must be an array "
+            f"of strings")
 
     @pytest.mark.parametrize("side", ["before", "after"])
     def test_whitespace_only_sentence_rejected(self, tmp_path, side):

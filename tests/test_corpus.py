@@ -68,8 +68,9 @@ class TestLoadCorpus:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [DOC_LINE, "{not json"])
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
 
     def test_unknown_record_kind(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -115,7 +116,8 @@ class TestLoadCorpus:
         write_lines(path, lines)
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
-        assert str(exc.value) == message
+        # named as path:line
+        assert str(exc.value) == f"{path}:{message.removeprefix('line ')}"
 
     @pytest.mark.parametrize("line", [
         "\ufeff" + DOC_LINE, DOC_LINE + " x", DOC_LINE + DOC_LINE,
@@ -129,7 +131,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert str(exc.value) == (
-            f"line 2: not valid JSON ({reference.value.msg})")
+            f"{path}:2: not valid JSON ({reference.value.msg})")
 
     @pytest.mark.parametrize("lineno", [1, 2, 300])
     def test_not_utf8_named_with_line(self, tmp_path, lineno):

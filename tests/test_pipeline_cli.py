@@ -1062,7 +1062,7 @@ class TestCliWiring:
                          *args])
         assert code == pipeline.EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: no corpus path configured for 'dev'\n")
+            "error: no corpus path configured for 'dev': set [corpus] dev\n")
 
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
