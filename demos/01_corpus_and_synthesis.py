@@ -58,6 +58,8 @@ with tempfile.TemporaryDirectory() as tmp:
 report = validate_stats(corpus, {"mentions": 24, "clusters": 8})
 print(f"\n{report}")
 
+# each pair is two rows into the mentions in span order
 pairs = candidate_pairs(corpus, scope="subtopic")
-positives = sum(p.label for p in pairs)
+gold = [m.gold_cluster_id for m in corpus.mentions_in_order()]
+positives = sum(gold[i] == gold[j] for i, j in pairs.tolist())
 print(f"\nwithin-subtopic pairs: {len(pairs)} ({positives} coreferent)")

@@ -8,8 +8,8 @@ from .commonsense import (FixtureProvider, GenerationConfig,
                           InferenceSet, PromptExemplar, format_prompt,
                           get_inferences, parse_completion)
 from .corpus import (Clustering, Corpus, CorpusFormatError, Document,
-                     Mention, MentionPair, candidate_pairs, load_corpus,
-                     validate_stats, write_corpus)
+                     Mention, candidate_pairs, load_corpus, validate_stats,
+                     write_corpus)
 from .embed import (EmbedderConfig, HashEmbedder, ServiceEmbedder,
                     SpanRepresentation, hash_embed, make_embedder,
                     span_representation)

@@ -123,8 +123,10 @@ def write_clustering(clustering: Clustering, path, metadata: dict):
 
 
 def read_clustering(path):
-    """Returns (clustering, metadata) from a clustering file."""
+    """Returns (clustering, metadata) from a clustering file. A mention
+    listed on two lines is a CorpusFormatError naming both."""
     assignment = {}
+    line_of = {}  # mention id -> the line that assigns it
     metadata = {}
     with naming_os_errors(path, CorpusFormatError), open(path, "rb") as fh:
         for lineno, record in json_lines(fh, path, CorpusFormatError):
@@ -136,5 +138,11 @@ def read_clustering(path):
             else:
                 check_record(record, {"mention_id": str, "cluster_id": str},
                              where, "clustering record", CorpusFormatError)
-                assignment[record["mention_id"]] = record["cluster_id"]
+                mention_id = record["mention_id"]
+                first = line_of.setdefault(mention_id, lineno)
+                if first != lineno:
+                    raise CorpusFormatError(
+                        f"{where}: mention {mention_id!r} is already "
+                        f"assigned at line {first}")
+                assignment[mention_id] = record["cluster_id"]
     return Clustering(assignment), metadata

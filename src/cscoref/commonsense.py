@@ -417,9 +417,11 @@ class GenerationServiceProvider:
 
     Request body: {"prompt", "top_p", "max_tokens", "stop"}; response:
     {"completion": str}. The credential is read from the environment at call
-    time, sent as a bearer token, and never persisted or logged. Failures are
-    retried with exponential backoff: ``MAX_ATTEMPTS`` tries, the first
-    wait ``BACKOFF_START`` seconds, doubling after each.
+    time, sent as a bearer token, and never persisted or logged. Failures,
+    a reply other than that object among them, are retried with
+    exponential backoff: ``MAX_ATTEMPTS`` tries, the first wait
+    ``BACKOFF_START`` seconds, doubling after each. The last failure is
+    raised as an ``InferenceError`` naming the endpoint.
     """
 
     MAX_ATTEMPTS = 3
@@ -458,15 +460,17 @@ class GenerationServiceProvider:
                                           timeout=self.timeout)
                 if resp.status_code != 200:
                     last_error = InferenceError(
-                        f"generation service returned HTTP "
+                        f"{self.endpoint}: generation service returned HTTP "
                         f"{resp.status_code}")
                     continue
-                body = resp.json()
-                return body["completion"]
-            except (requests.RequestException, ValueError,
-                    KeyError) as exc:
+                return check_record(resp.json(), {"completion": str},
+                                    self.endpoint, "generation reply",
+                                    InferenceError)["completion"]
+            except (requests.RequestException, ValueError) as exc:
                 last_error = InferenceError(
-                    f"generation service failure: {exc}")
+                    f"{self.endpoint}: generation service failure: {exc}")
+            except InferenceError as exc:
+                last_error = exc
         raise last_error
 
     def generate(self, mention, context_sentence: str,

@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 
 class CorpusFormatError(ValueError):
     """Raised when a corpus file violates the record format or an invariant."""
@@ -165,17 +167,6 @@ class Mention:
     @property
     def width(self) -> int:
         return self.token_end - self.token_start + 1
-
-
-@dataclass(frozen=True)
-class MentionPair:
-    first: str
-    second: str
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        if self.first == self.second:
-            raise ValueError(f"pair of mention {self.first!r} with itself")
 
 
 class Clustering:
@@ -367,28 +358,21 @@ def write_corpus(corpus: Corpus, path):
             fh.write(line + "\n")
 
 
-def candidate_pairs(corpus: Corpus, scope: str = "subtopic",
-                    labeled: bool = True) -> list[MentionPair]:
-    """All unordered mention pairs within each scope unit, in canonical order.
+def candidate_pairs(corpus: Corpus, scope: str = "subtopic") -> np.ndarray:
+    """All unordered mention pairs within each unit of ``scope``, as an
+    ``(N, 2)`` array of rows into ``corpus.mentions_in_order()``.
 
-    Labels are 1 iff the two mentions share a gold cluster. With
-    ``labeled=False`` the pairs carry ``label=None`` and gold ids may be
-    absent.
+    Units come in sorted order and, within one, the pairs ``(a, b)`` with
+    ``a < b`` in row-major order: a unit's members are in span order, so
+    their rows increase and each pair's first mention comes first in span
+    order.
     """
-    pairs: list[MentionPair] = []
+    row = {m.mention_id: i for i, m in enumerate(corpus.mentions_in_order())}
+    pairs = [np.empty((0, 2), dtype=int)]
     for members in corpus.units(scope).values():
-        for a, b in itertools.combinations(members, 2):
-            if labeled:
-                if a.gold_cluster_id is None or b.gold_cluster_id is None:
-                    bad = a if a.gold_cluster_id is None else b
-                    raise CorpusFormatError(
-                        f"mention {bad.mention_id!r} has no gold cluster; "
-                        f"cannot label pairs")
-                label = int(a.gold_cluster_id == b.gold_cluster_id)
-            else:
-                label = None
-            pairs.append(MentionPair(a.mention_id, b.mention_id, label))
-    return pairs
+        rows = np.array([row[m.mention_id] for m in members], dtype=int)
+        pairs.append(rows[np.column_stack(np.triu_indices(len(rows), 1))])
+    return np.concatenate(pairs)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import requests
 
-from .corpus import Document
+from .corpus import Document, check_record
 
 
 class EmbeddingError(RuntimeError):
@@ -102,39 +102,51 @@ class ServiceEmbedder:
         self._session = session or requests.Session()
 
     def embed_sentences(self, sentences) -> list[np.ndarray]:
-        """One matrix per token list of ``sentences``, from one request."""
+        """One matrix per token list of ``sentences``, from one request.
+        A failed request or a reply off the protocol is an
+        ``EmbeddingError`` naming the endpoint."""
+        url = self.config.endpoint
         payload = {"sentences": [list(s) for s in sentences]}
         try:
-            resp = self._session.post(self.config.endpoint, json=payload,
+            resp = self._session.post(url, json=payload,
                                       timeout=self.config.timeout)
         except requests.RequestException as exc:
             raise EmbeddingError(
-                f"embedding service unreachable: {exc}") from exc
+                f"{url}: embedding service unreachable: {exc}") from exc
         if resp.status_code != 200:
             raise EmbeddingError(
-                f"embedding service returned HTTP {resp.status_code}")
+                f"{url}: embedding service returned HTTP {resp.status_code}")
+        malformed = f"{url}: malformed embedding service response"
         try:
             body = resp.json()
-            vectors = body["vectors"]
-            d = body["d"]
-            returned = len(vectors)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise EmbeddingError(
-                f"malformed embedding service response: {exc}") from exc
+        except ValueError as exc:
+            raise EmbeddingError(f"{malformed}: {exc}") from exc
+        check_record(body, {"vectors": list, "d": int}, malformed, "reply",
+                     EmbeddingError)
+        vectors, d = body["vectors"], body["d"]
         if d != self.config.d:
+            raise EmbeddingError(f"{url}: service returned dimension {d}, "
+                                 f"configured {self.config.d}")
+        if len(vectors) != len(sentences):
             raise EmbeddingError(
-                f"service returned dimension {d}, configured {self.config.d}")
-        if returned != len(sentences):
-            raise EmbeddingError(
-                f"service returned vectors for {returned} sentences, "
-                f"sent {len(sentences)}")
+                f"{url}: service returned vectors for {len(vectors)} "
+                f"sentences, sent {len(sentences)}")
         out = []
         for sent, sent_vectors in zip(sentences, vectors):
-            arr = np.asarray(sent_vectors, dtype=np.float64)
+            try:
+                arr = np.asarray(sent_vectors, dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise EmbeddingError(
+                    f"{url}: service returned vectors that are not a matrix "
+                    f"of numbers for a sentence of {len(sent)} tokens") \
+                    from exc
             if arr.shape != (len(sent), self.config.d):
                 raise EmbeddingError(
-                    f"service returned shape {arr.shape} for a sentence of "
-                    f"{len(sent)} tokens at d={self.config.d}")
+                    f"{url}: service returned shape {arr.shape} for a "
+                    f"sentence of {len(sent)} tokens at d={self.config.d}")
+            if not np.isfinite(arr).all():  # JSON null reads as NaN
+                raise EmbeddingError(f"{url}: service returned a vector "
+                                     f"value that is not finite")
             out.append(arr)
         return out
 

@@ -273,22 +273,23 @@ def _update(target, values: dict):
 
 def load_run_config(path) -> RunConfig:
     """The preset named by ``[run] preset`` (or the default), updated with
-    the keys the file sets. Empty corpus and fixture paths and an empty
-    seed list are not set; any ``synthetic_*`` key builds a SyntheticSpec,
-    its other fields at their defaults. A value a settings class rejects is
-    a ConfigError naming ``path``."""
+    the keys the file sets. Empty corpus, fixture, cache and exemplar
+    paths and an empty seed list are not set; any ``synthetic_*`` key
+    builds a SyntheticSpec, its other fields at their defaults. A value a
+    settings class rejects is a ConfigError naming ``path``."""
     values = _read_values(path)
     config = preset(values.pop("preset", DEFAULT_PRESET))
     seeds = values.pop("seeds", None)
     if seeds:
         values["seeds"] = parse_seeds(seeds, "[run] seeds")
     shared = values.pop("commonsense.fixtures.*", None)
-    for split in SPLITS:
-        for field_path in (f"corpus_paths.{split}",
-                           f"commonsense.fixtures.{split}"):
-            if not values.get(field_path):
-                values.pop(field_path, None)
-        if shared:
+    for field_path in ("commonsense.cache_path", "commonsense.exemplars_path",
+                       *(f"corpus_paths.{split}" for split in SPLITS),
+                       *(f"commonsense.fixtures.{split}" for split in SPLITS)):
+        if not values.get(field_path):
+            values.pop(field_path, None)
+    if shared:
+        for split in SPLITS:
             values.setdefault(f"commonsense.fixtures.{split}", shared)
     prefix = "commonsense.synthetic_spec."
     synthetic = {key[len(prefix):]: values.pop(key)
@@ -667,7 +668,8 @@ def explain_pair(params: ModelParameters, corpus: Corpus, config: RunConfig,
                         split, mode, default_strict=False, scope="corpus",
                         labeled=False)
     probs, fw_cache = forward_batch(params, data, np.arange(1))
-    a, b = (corpus.mentions[m] for m in data.pair_names[0])
+    a, b = (corpus.mentions[data.mention_ids[row[0]]]
+            for row in (data.pair_i, data.pair_j))
     relations = {}
     if mode != "baseline":
         # cs row 0 is a's query, row 1 is b's; the inverse maps each to its

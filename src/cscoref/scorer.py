@@ -446,8 +446,10 @@ def attention_backward(d_out: np.ndarray, cache, W_q: np.ndarray,
 class PairDataset:
     """Everything the scorer needs about a split, as padded tensors.
 
-    ``span_tensors`` holds one row per mention; ``sent_tensors`` one row per
-    inference sentence, whose text is ``sentences[row]``.
+    ``span_tensors`` holds one row per mention, whose id is
+    ``mention_ids[row]``; ``sent_tensors`` one row per inference sentence,
+    whose text is ``sentences[row]``. Pair c is the two mention rows
+    ``pair_i[c]`` and ``pair_j[c]``, labelled ``labels[c]``.
     ``before_idx``/``after_idx`` map each mention row to its (up to k)
     sentence rows, padded with -1. A pair's commonsense blocks depend only on
     (query mention row, source mention row), so ``attention_rows`` selects
@@ -458,7 +460,6 @@ class PairDataset:
     and projects the first layer per query mention and per row instead.
     """
     mention_ids: list
-    row_of: dict
     span_tensors: SpanTensors
     sent_tensors: Optional[SpanTensors]
     before_idx: np.ndarray  # (M, k)
@@ -466,12 +467,18 @@ class PairDataset:
     pair_i: np.ndarray      # (N,) row indices
     pair_j: np.ndarray
     labels: np.ndarray      # (N,) float
-    pair_names: list = field(default_factory=list)
     sentences: list = field(default_factory=list)
 
     @property
     def n_pairs(self) -> int:
         return len(self.labels)
+
+    @property
+    def pair_names(self) -> list:
+        """Each pair's two mention ids, built on each read."""
+        ids = self.mention_ids
+        return [(ids[i], ids[j])
+                for i, j in zip(self.pair_i.tolist(), self.pair_j.tolist())]
 
 
 def attention_rows(params: ModelParameters, data: PairDataset,

@@ -12,7 +12,7 @@ import numpy as np
 from .cluster import (agglomerative_cluster, check_unit_interval,
                       cut_merge_sequence, merge_sequence)
 from .commonsense import BULK_CHUNK, GenerationConfig, get_inferences
-from .corpus import Clustering, Corpus, candidate_pairs
+from .corpus import Clustering, Corpus, CorpusFormatError, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, GoldKey, evaluate
 from .scorer import (BLOCK_ORDER, MODES, ModelDims, ModelParameters,
@@ -75,7 +75,6 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
     embedder = make_embedder(embed_config)
     gen_config = gen_config or GenerationConfig()
     mentions = corpus.mentions_in_order()
-    row_of = {m.mention_id: i for i, m in enumerate(mentions)}
 
     doc_matrices = {doc_id: embedder.embed_document(doc)
                     for doc_id, doc in corpus.documents.items()}
@@ -116,18 +115,24 @@ def build_dataset(corpus: Corpus, embed_config: EmbedderConfig,
         sent_tensors = SpanTensors.from_matrices(
             sentence_matrices, embed_config.max_width_bucket)
 
-    pairs = candidate_pairs(corpus, scope=scope, labeled=labeled)
-    pair_i = np.array([row_of[p.first] for p in pairs], dtype=int)
-    pair_j = np.array([row_of[p.second] for p in pairs], dtype=int)
-    labels = np.array([p.label if p.label is not None else 0.0
-                       for p in pairs], dtype=np.float64)
-    names = [(p.first, p.second) for p in pairs]
+    pairs = candidate_pairs(corpus, scope)
+    pair_i, pair_j = pairs.T.copy()
+    labels = np.zeros(len(pairs))
+    if labeled:
+        code = {None: -1}  # gold cluster id -> integer code
+        codes = np.array([code.setdefault(m.gold_cluster_id, len(code))
+                          for m in mentions], dtype=int)
+        missing = codes[pairs].ravel() < 0
+        if missing.any():  # the first such mention in pair order
+            bad = mentions[pairs.flat[np.argmax(missing)]]
+            raise CorpusFormatError(f"mention {bad.mention_id!r} has no "
+                                    f"gold cluster; cannot label pairs")
+        labels[codes[pair_i] == codes[pair_j]] = 1.0
     return PairDataset(mention_ids=[m.mention_id for m in mentions],
-                       row_of=row_of, span_tensors=span_tensors,
+                       span_tensors=span_tensors,
                        sent_tensors=sent_tensors, before_idx=before_idx,
                        after_idx=after_idx, pair_i=pair_i, pair_j=pair_j,
-                       labels=labels, pair_names=names,
-                       sentences=sentences)
+                       labels=labels, sentences=sentences)
 
 
 class Adam:
@@ -264,8 +269,10 @@ DEFAULT_THRESHOLD_GRID = tuple(round(0.30 + 0.05 * i, 2) for i in range(11))
 
 
 def scores_as_lookup(data: PairDataset, probs: np.ndarray) -> dict:
-    return {tuple(sorted(name)): float(p)
-            for name, p in zip(data.pair_names, probs)}
+    """The clusterer's ``{(a, b): p}``, each id pair in sorted order."""
+    ids = data.mention_ids
+    return {tuple(sorted((ids[i], ids[j]))): p for i, j, p in
+            zip(data.pair_i.tolist(), data.pair_j.tolist(), probs.tolist())}
 
 
 def _scope_units(corpus: Corpus, scope: str) -> list[list[str]]:
@@ -374,14 +381,10 @@ def make_random_dataset(dims: ModelDims, seed: int, n_mentions: int = 6,
     pair_j = (pair_i + 1 + rng.integers(0, n_mentions - 1,
                                         size=n_pairs)) % n_mentions
     labels = rng.integers(0, 2, size=n_pairs).astype(np.float64)
-    ids = [f"m{i}" for i in range(n_mentions)]
-    return PairDataset(mention_ids=ids,
-                       row_of={m: i for i, m in enumerate(ids)},
+    return PairDataset(mention_ids=[f"m{i}" for i in range(n_mentions)],
                        span_tensors=span_tensors, sent_tensors=sent_tensors,
                        before_idx=before_idx, after_idx=after_idx,
-                       pair_i=pair_i, pair_j=pair_j, labels=labels,
-                       pair_names=[(ids[a], ids[b])
-                                   for a, b in zip(pair_i, pair_j)])
+                       pair_i=pair_i, pair_j=pair_j, labels=labels)
 
 
 def relative_error(analytic: float, numeric: float,

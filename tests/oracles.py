@@ -8,6 +8,8 @@ re-runs the whole merge sequence for each threshold. ``evaluate_oracle`` is
 the original set-based evaluation protocol: per unit, it restricts both
 clusterings, drops singleton clusters, adds one-sided mentions as
 singletons, and scores the three metrics over sets of mention ids.
+``candidate_pairs_oracle`` is the original pair loop, one
+``itertools.combinations`` per unit over mention objects.
 """
 
 import itertools
@@ -161,6 +163,28 @@ def agglomerative_cluster_oracle(mentions, scores, threshold):
             link_sum[key_ca] = link_sum[key_ca] + link_sum.pop(key_cb)
 
     return {m: rep for rep, members in clusters.items() for m in members}
+
+
+def candidate_pairs_oracle(corpus, scope):
+    """``(first id, second id, label)`` for each unordered pair of mentions
+    in one unit of ``scope`` ("subtopic", "topic" or "corpus"): units in
+    sorted order, each unit's mentions in span order (document, sentence,
+    span start, span end, id). ``label`` is 1 if the two mentions share a
+    gold cluster, 0 if not, None if either has none."""
+    units = {}
+    for m in sorted(corpus.mentions.values(),
+                    key=lambda m: (m.doc_id, m.sentence_index, m.token_start,
+                                   m.token_end, m.mention_id)):
+        doc = corpus.documents[m.doc_id]
+        name = "corpus" if scope == "corpus" else getattr(doc, f"{scope}_id")
+        units.setdefault(name, []).append(m)
+    pairs = []
+    for name in sorted(units):
+        for a, b in itertools.combinations(units[name], 2):
+            label = (None if None in (a.gold_cluster_id, b.gold_cluster_id)
+                     else int(a.gold_cluster_id == b.gold_cluster_id))
+            pairs.append((a.mention_id, b.mention_id, label))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

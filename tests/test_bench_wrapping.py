@@ -64,10 +64,10 @@ def test_provider_calls_counted_per_mention(monkeypatch, tmp_path, capsys):
 
 
 def test_traced_build_reaches_fetch_and_embedder(monkeypatch):
-    """A dataset build records a ``commonsense.get_inferences`` span and
-    embeds tokens through the wrapped ``HashEmbedder.embed_sentence``; a
-    wrapped name the program imports but no longer calls records
-    nothing."""
+    """A dataset build records a ``commonsense.get_inferences`` span,
+    embeds tokens through the wrapped ``HashEmbedder.embed_sentence`` and
+    counts its pairs through the wrapped ``candidate_pairs``; a wrapped
+    name the program imports but no longer calls records nothing."""
     from cscoref import training
     from cscoref.embed import EmbedderConfig
     from cscoref.synthgen import (SyntheticProvider, SyntheticSpec,
@@ -79,10 +79,13 @@ def test_traced_build_reaches_fetch_and_embedder(monkeypatch):
     corpus = generate_synthetic(spec)[0]
     layers.install(tracer)
     try:
-        training.build_dataset(corpus, EmbedderConfig(d=4), "intra",
-                               inference_source=SyntheticProvider(spec))
+        data = training.build_dataset(
+            corpus, EmbedderConfig(d=4), "intra",
+            inference_source=SyntheticProvider(spec))
     finally:
         tracer.unwrap_all()
     names = [span["name"] for span in tracer.spans]
     assert names.count("commonsense.get_inferences") >= 1
     assert tracer.counters[("setup", "embed.tokens")] > 0
+    assert data.n_pairs > 0
+    assert tracer.counters[("setup", "corpus.pairs")] == data.n_pairs

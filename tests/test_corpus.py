@@ -5,6 +5,8 @@ import pytest
 from cscoref.corpus import (Clustering, Corpus, CorpusFormatError, Document,
                             Mention, candidate_pairs, corpus_to_lines,
                             load_corpus, validate_stats, write_corpus)
+from cscoref.embed import EmbedderConfig
+from cscoref.training import build_dataset
 
 
 def write_lines(path, lines):
@@ -191,10 +193,20 @@ class TestUnits:
             Corpus(docs, [])
 
 
+def pair_labels(corpus, labeled=True):
+    """{(first id, second id): label} of the corpus's subtopic pairs, as
+    ``build_dataset`` labels them."""
+    data = build_dataset(corpus, EmbedderConfig(d=4), "baseline",
+                         labeled=labeled)
+    ids = data.mention_ids
+    return {(ids[i], ids[j]): label for i, j, label in zip(
+        data.pair_i.tolist(), data.pair_j.tolist(), data.labels.tolist())}
+
+
 class TestCandidatePairs:
     def test_three_mentions_three_pairs(self, tiny_corpus):
         pairs = candidate_pairs(tiny_corpus, scope="subtopic")
-        assert len(pairs) == 3
+        assert pairs.shape == (3, 2)
 
     def test_cross_subtopic_no_pairs(self):
         docs = [Document("d1", "t0", "s0", [["go"]]),
@@ -202,38 +214,38 @@ class TestCandidatePairs:
         mentions = [Mention("m1", "d1", 0, 0, 0, "go", gold_cluster_id="a"),
                     Mention("m2", "d2", 0, 0, 0, "go", gold_cluster_id="a")]
         corpus = Corpus(docs, mentions)
-        assert candidate_pairs(corpus, scope="subtopic") == []
-        assert len(candidate_pairs(corpus, scope="topic")) == 1
-        assert len(candidate_pairs(corpus, scope="corpus")) == 1
+        assert candidate_pairs(corpus, scope="subtopic").shape == (0, 2)
+        assert candidate_pairs(corpus, scope="topic").tolist() == [[0, 1]]
+        assert candidate_pairs(corpus, scope="corpus").tolist() == [[0, 1]]
 
     def test_labels_from_gold(self, tiny_corpus):
-        pairs = {(p.first, p.second): p.label
-                 for p in candidate_pairs(tiny_corpus)}
-        assert pairs[("m1", "m3")] == 0  # same doc, different clusters
-        assert pairs[("m1", "m2")] == 1 or pairs[("m2", "m1")] == 1
+        labels = pair_labels(tiny_corpus)
+        assert labels[("m1", "m3")] == 0  # same doc, different clusters
+        assert labels[("m1", "m2")] == 1
 
     def test_label_consistency_with_partition(self, tiny_corpus):
-        pairs = candidate_pairs(tiny_corpus)
         gold = tiny_corpus.gold_clustering()
-        for p in pairs:
-            expected = int(gold.cluster_of(p.first)
-                           == gold.cluster_of(p.second))
-            assert p.label == expected
+        labels = pair_labels(tiny_corpus)
+        assert len(labels) == 3
+        for (first, second), label in labels.items():
+            assert label == int(gold.cluster_of(first)
+                                == gold.cluster_of(second))
 
     def test_missing_gold_raises(self):
         docs = [Document("d1", "t0", "s0", [["a", "b"]])]
         mentions = [Mention("m1", "d1", 0, 0, 0, "a"),
                     Mention("m2", "d1", 0, 1, 1, "b")]
         corpus = Corpus(docs, mentions)
-        with pytest.raises(CorpusFormatError, match="gold"):
-            candidate_pairs(corpus, labeled=True)
-        assert len(candidate_pairs(corpus, labeled=False)) == 1
+        with pytest.raises(CorpusFormatError, match="'m1' has no gold"):
+            pair_labels(corpus, labeled=True)
+        assert pair_labels(corpus, labeled=False) == {("m1", "m2"): 0.0}
 
     def test_canonical_order(self, tiny_corpus):
-        for p in candidate_pairs(tiny_corpus):
-            a = tiny_corpus.mentions[p.first]
-            b = tiny_corpus.mentions[p.second]
-            assert a.span_key() < b.span_key()
+        order = tiny_corpus.mentions_in_order()
+        pairs = candidate_pairs(tiny_corpus)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        for i, j in pairs.tolist():
+            assert order[i].span_key() < order[j].span_key()
 
     def test_pair_count_is_choose_two(self, two_topic_corpus):
         pairs = candidate_pairs(two_topic_corpus, scope="subtopic")

@@ -143,12 +143,14 @@ class TestServiceEmbedder:
     def test_reply_for_another_number_of_sentences(self, embedding_server,
                                                    returned):
         embedding_server.behavior = {"d": 4, "sentences": returned}
-        embedder = ServiceEmbedder(_service_config(embedding_server))
+        config = _service_config(embedding_server)
+        embedder = ServiceEmbedder(config)
         doc = Document("d", "t", "s", [["a"], ["b"], ["c"]])
         with pytest.raises(EmbeddingError) as error:
             embedder.embed_document(doc)
-        assert str(error.value) == (
-            f"service returned vectors for {returned} sentences, sent 3")
+        assert str(error.value) == (f"{config.endpoint}: service returned "
+                                    f"vectors for {returned} sentences, "
+                                    f"sent 3")
 
     def test_build_sends_one_request_per_chunk(self, embedding_server):
         """A build embeds each document with one request and the inference

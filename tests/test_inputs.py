@@ -1,8 +1,9 @@
 """Every input file the CLI reads, broken.
 
 One valid file of each kind (run config, corpus, inference fixtures and
-cache, few-shot exemplars, checkpoint, clustering) is broken by hand for
-the cases that used to end in a traceback, and by a generator that
+cache, few-shot exemplars, checkpoint, clustering, and the replies of the
+generation and embedding services) is broken by hand for the cases that
+used to end in a traceback, and by a generator that
 truncates it, swaps a JSON value for one of another type, drops a key or
 inserts an invalid UTF-8 byte. The command that reads it runs through
 ``cli.main``: it must return 0, 2 or 3, never raise, print at most one
@@ -19,16 +20,20 @@ import math
 import re
 import shutil
 from pathlib import Path
+from unittest import mock
+from urllib.parse import urlsplit
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 import cscoref
 from cscoref import cli
 from cscoref.cluster import write_clustering
 from cscoref.commonsense import (FixtureProvider, GenerationConfig,
-                                 InferenceCache, get_inferences)
-from cscoref.corpus import write_corpus
+                                 GenerationServiceProvider, InferenceCache,
+                                 get_inferences)
+from cscoref.corpus import Corpus, Document, Mention, write_corpus
 from cscoref.scorer import ModelDims, init_parameters, save_checkpoint
 from cscoref.synthgen import SyntheticSpec, generate_synthetic, \
     write_fixtures
@@ -70,6 +75,41 @@ prompt_mode = fewshot
 cache = service_cache.jsonl
 """
 
+# the services' replies are files, served by ``FileReply``: the endpoint's
+# path names the file
+GENERATE_INI = """\
+[corpus]
+test = corpus.jsonl
+
+[commonsense]
+provider = service
+endpoint = http://127.0.0.1:9/completion.json
+cache = generated.jsonl
+"""
+
+# every document is one sentence of one token, so one reply fits every
+# request
+EMBED_INI = """\
+[run]
+out = embed_run
+seeds = 0
+
+[corpus]
+test = one_token.jsonl
+
+[embedder]
+provider = service
+endpoint = http://127.0.0.1:9/vectors.json
+d = 8
+d_len = 4
+max_width_bucket = 4
+
+[train]
+mode = baseline
+d_a = 2
+hidden = 16
+"""
+
 PREDICT = ["predict", "--config", "run.ini", "--checkpoint",
            "checkpoint.bin", "--tau", "0.5"]
 GEN = ["gen-inferences", "--config", "run.ini", "--split", "test"]
@@ -87,6 +127,12 @@ KINDS = {
     "clustering": ("clustering.jsonl",
                    ["score", "--config", "run.ini", "--clustering",
                     "clustering.jsonl"], ()),
+    "completion": ("completion.json",
+                   ["gen-inferences", "--config", "generate.ini", "--split",
+                    "test"], ()),
+    "vectors": ("vectors.json",
+                ["predict", "--config", "embed.ini", "--checkpoint",
+                 "baseline.bin", "--tau", "0.5"], ()),
 }
 KEY = re.compile(r"\[[a-z]+\] [a-z_]+")
 
@@ -116,7 +162,34 @@ def base(tmp_path_factory):
                      {"tau": 0.5})
     (base / "run.ini").write_text(RUN_INI, encoding="utf-8")
     (base / "service.ini").write_text(SERVICE_INI, encoding="utf-8")
+    (base / "generate.ini").write_text(GENERATE_INI, encoding="utf-8")
+    (base / "completion.json").write_text(json.dumps(
+        {"completion": " They trained.\nAfter: They celebrated."}) + "\n",
+        encoding="utf-8")
+    write_corpus(Corpus(
+        [Document(f"d{i}", "t0", "t0_s0", [["go"]]) for i in range(2)],
+        [Mention(f"m{i}", f"d{i}", 0, 0, 0, "go", gold_cluster_id="g0")
+         for i in range(2)]), base / "one_token.jsonl")
+    save_checkpoint(init_parameters(ModelDims(
+        d=8, d_len=4, d_a=2, h=16, mode="baseline", max_width_bucket=4), 0),
+        base / "baseline.bin")
+    (base / "embed.ini").write_text(EMBED_INI, encoding="utf-8")
+    (base / "vectors.json").write_text(json.dumps(
+        {"vectors": [[[0.125] * 8]], "d": 8}) + "\n", encoding="utf-8")
     return base
+
+
+class FileReply:
+    """A 200 reply whose body is the file the URL's path names, read from
+    the working directory."""
+
+    status_code = 200
+
+    def __init__(self, url, **kwargs):
+        self.body = Path(urlsplit(url).path.lstrip("/")).read_bytes()
+
+    def json(self):
+        return json.loads(self.body)
 
 
 def run_cli(base, work, argv, files=(), remove=()):
@@ -131,7 +204,9 @@ def run_cli(base, work, argv, files=(), remove=()):
         (work / name).write_bytes(data)
     err = io.StringIO()
     with contextlib.chdir(work), contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(requests.Session, "post", FileReply), \
+            mock.patch.object(GenerationServiceProvider, "BACKOFF_START", 0):
         code = cli.main(argv)
     return code, err.getvalue()
 
@@ -195,6 +270,9 @@ def without(key):
     ("clustering", edit_line("clustering.jsonl", -2, lambda v: ""), 2,
      "clustering.jsonl: system clustering is missing gold mentions: "
      "['{m}']"),
+    ("clustering", ("clustering.jsonl",
+                    lambda data: data + data.split(b"\n")[1] + b"\n"), 2,
+     "clustering.jsonl:{k}: mention '{f}' is already assigned at line 2"),
     ("checkpoint", edit_checkpoint(0, lambda v: json.dumps(
         dict(v, d="16"))), 3,
      "ScorerError: checkpoint.bin:2: checkpoint header field 'd' must be "
@@ -218,12 +296,36 @@ def without(key):
     ("ini", ("run.ini", lambda data: data.replace(
         b"[commonsense]\n", b"[commonsense]\nsynthetic_n_topics = 0\n")), 2,
      "run.ini: all counts must be >= 1"),
+    ("completion", edit_line("completion.json", 0, lambda v: json.dumps(
+        {"completion": 5})), 3,
+     "InferenceError: http://127.0.0.1:9/completion.json: generation reply "
+     "field 'completion' must be a string, not an integer"),
+    ("completion", edit_line("completion.json", 0, lambda v: json.dumps(
+        {"completion": None})), 3,
+     "InferenceError: http://127.0.0.1:9/completion.json: generation reply "
+     "field 'completion' must be a string, not null"),
+    ("completion", edit_line("completion.json", 0, lambda v: "[1]"), 3,
+     "InferenceError: http://127.0.0.1:9/completion.json: generation reply "
+     "is an array, not an object"),
+    ("vectors", edit_line("vectors.json", 0, lambda v: json.dumps(
+        dict(v, vectors=[[[1, "x"]]]))), 3,
+     "EmbeddingError: http://127.0.0.1:9/vectors.json: service returned "
+     "vectors that are not a matrix of numbers for a sentence of 1 "
+     "tokens"),
+    ("vectors", edit_line("vectors.json", 0, lambda v: json.dumps(
+        dict(v, vectors=[[[0.5] * 8, [0.5] * 7]]))), 3,
+     "EmbeddingError: http://127.0.0.1:9/vectors.json: service returned "
+     "vectors that are not a matrix of numbers for a sentence of 1 "
+     "tokens"),
 ], ids=["mention-index-string", "sentences-string", "sentence-string",
         "corpus-json", "corpus-unknown-field", "clustering-int",
         "clustering-array", "clustering-cut", "clustering-no-cluster-id",
-        "clustering-missing-mention", "header-d-string", "header-mode",
-        "block-line-array", "block-line-no-name", "exemplar-array",
-        "exemplar-no-event", "ini-d-word", "ini-synthetic-count"])
+        "clustering-missing-mention", "clustering-repeated-mention",
+        "header-d-string", "header-mode", "block-line-array",
+        "block-line-no-name", "exemplar-array", "exemplar-no-event",
+        "ini-d-word", "ini-synthetic-count", "completion-int",
+        "completion-null", "completion-array", "vectors-string",
+        "vectors-ragged"])
 def test_broken_line_named(base, tmp_path, kind, edit, code, message):
     """Each of these ended in a traceback, or in a message naming no file,
     before every reader went through ``json_lines`` and ``check_record``."""
@@ -231,9 +333,10 @@ def test_broken_line_named(base, tmp_path, kind, edit, code, message):
     _, argv, remove = KINDS[kind]
     data = apply((base / name).read_bytes())
     lines = (base / "corpus.jsonl").read_bytes().split(b"\n")
-    last = json.loads((base / "clustering.jsonl").read_bytes()
-                      .split(b"\n")[-2])
-    message = message.format(n=len(lines) - 1, m=last["mention_id"])
+    clustering = (base / "clustering.jsonl").read_bytes().split(b"\n")
+    message = message.format(
+        n=len(lines) - 1, m=json.loads(clustering[-2])["mention_id"],
+        f=json.loads(clustering[1])["mention_id"], k=len(clustering))
     got, err = run_cli(base, tmp_path / "work", argv, [(name, data)],
                        remove)
     assert (got, err) == (code, f"error: {message}\n")
@@ -278,7 +381,7 @@ def checkpoint_segments(data):
 def segments_of(name, data):
     if name.endswith(".bin"):
         return checkpoint_segments(data)
-    return [(line, name.endswith(".jsonl"))
+    return [(line, name.endswith((".json", ".jsonl")))
             for line in data.splitlines(keepends=True)]
 
 

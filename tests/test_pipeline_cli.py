@@ -582,8 +582,11 @@ class TestExplainCommand:
                 config, "test", default_strict=False),
             gen_config=config.commonsense.generation,
             cache=InferenceCache(config.commonsense.cache_path))
-        index = data.pair_names.index((trace.first, trace.second))
-        probs, _ = forward_batch(params, data, np.array([index]))
+        row = data.mention_ids.index
+        index = np.flatnonzero((data.pair_i == row(trace.first))
+                               & (data.pair_j == row(trace.second)))
+        assert len(index) == 1
+        probs, _ = forward_batch(params, data, index)
         assert trace.probability == pytest.approx(float(probs[0]),
                                                   rel=1e-12)
 
@@ -603,8 +606,10 @@ class TestExplainCommand:
         data = pipeline._dataset_for(config, corpus, "test", mode,
                                      default_strict=False)
         index = data.n_pairs - 1
-        low, high = data.pair_names[index]
-        assert data.row_of[high] > data.row_of[low]
+        assert data.pair_j[index] > data.pair_i[index]
+        low, high = (data.mention_ids[rows[index]]
+                     for rows in (data.pair_i, data.pair_j))
+        row = data.mention_ids.index
         trace = pipeline.explain_pair(params, corpus, config, high, low,
                                       split="test")
 
@@ -618,9 +623,9 @@ class TestExplainCommand:
                   else {low: high, high: low})
         assert len(trace.relations) == 4
         for (mention_id, rel), items in trace.relations.items():
-            rows = getattr(data, f"{rel}_idx")[data.row_of[routed[mention_id]]]
+            rows = getattr(data, f"{rel}_idx")[row(routed[mention_id])]
             rows = rows[rows >= 0]
-            expected = attend(span_reps[data.row_of[mention_id]],
+            expected = attend(span_reps[row(mention_id)],
                               sent_reps[rows],
                               getattr(params, f"W_q_{rel}"),
                               getattr(params, f"W_k_{rel}")).weights
@@ -1048,6 +1053,26 @@ class TestCliWiring:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent" in err
         assert err.count("\n") == 1
+
+    def test_empty_cache_or_exemplars_reads_as_unset(self, tmp_path,
+                                                     capsys):
+        """An empty ``cache =`` or ``exemplars =`` sets no file, as an
+        empty corpus or fixture path does: ``gen-inferences`` asks for a
+        cache, naming the key, instead of opening ''."""
+        config, _ = small_run_config(tmp_path)
+        ini = gen_ini(tmp_path, config)
+        text = ini.read_text("utf-8")
+        ini.write_text(text.replace(f"cache = {tmp_path / 'cache.jsonl'}",
+                                    "cache =\nexemplars ="),
+                       encoding="utf-8")
+        commonsense = load_run_config(ini).commonsense
+        assert (commonsense.cache_path, commonsense.exemplars_path) \
+            == (None, None)
+        code = cli.main(["gen-inferences", "--config", str(ini)])
+        assert code == pipeline.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: gen-inferences requires a cache path: set "
+            "[commonsense] cache\n")
 
     @pytest.mark.parametrize("command, args", [
         ("score", ["--clustering", "clustering.jsonl"]),

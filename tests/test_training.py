@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cscoref.commonsense import GenerationConfig
-from cscoref.corpus import Corpus, Document, Mention
+from cscoref.corpus import (SCOPES, Corpus, CorpusFormatError, Document,
+                            Mention, candidate_pairs)
 from cscoref.embed import EmbedderConfig
 from cscoref.pipeline import DESK_SPLIT_SPECS, preset
 from cscoref.scorer import (INIT_PIECE, ModelDims, ModelParameters,
@@ -22,7 +24,7 @@ from cscoref.training import (Adam, TrainConfig, build_dataset,
                               tune_threshold_from_scores,
                               DEFAULT_THRESHOLD_GRID)
 
-from oracles import evaluate_oracle
+from oracles import candidate_pairs_oracle, evaluate_oracle
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,34 @@ def small_corpus(small_spec):
 
 EMB = EmbedderConfig(provider="hash", d=8, d_len=4, max_width_bucket=4,
                      seed=0)
+
+
+@st.composite
+def interleaved_corpora(draw):
+    """Up to 6 documents, each drawn into one of 2 topics of 2 subtopics
+    each, so in doc id order the units interleave and a unit's mention rows
+    are not contiguous; 1 to 10 mentions on random spans, with ids in
+    another order than span order, and in about half the corpora some
+    mentions without a gold cluster."""
+    docs = []
+    for d in range(draw(st.integers(1, 6))):
+        topic, sub = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        docs.append(Document(f"d{d}", f"t{topic}", f"t{topic}_s{sub}",
+                             [["a", "b", "c"]] * draw(st.integers(1, 2))))
+    gold = ["g0", "g1", "g2"] + [None] * draw(st.integers(0, 1))
+    n = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(n)))
+    mentions = []
+    for k in range(n):
+        doc = draw(st.sampled_from(docs))
+        start = draw(st.integers(0, 2))
+        end = draw(st.integers(start, 2))
+        mentions.append(Mention(
+            f"m{ids[k]}", doc.doc_id,
+            draw(st.integers(0, len(doc.sentences) - 1)), start, end,
+            " ".join("abc"[start:end + 1]),
+            gold_cluster_id=draw(st.sampled_from(gold))))
+    return Corpus(docs, mentions)
 
 
 class TestBuildDataset:
@@ -102,6 +132,68 @@ class TestBuildDataset:
         if cached:
             assert hashlib.sha256(cache_path.read_bytes()).hexdigest() \
                 == self.PINNED_DESK_TRAIN_CACHE
+
+    # sha256 of pair_i, pair_j and labels of each desk split's dataset at
+    # each pair scope, computed when pairs were built one MentionPair at a
+    # time (a desk split has one subtopic per topic)
+    PINNED_DESK_PAIRS = {
+        ("train", "subtopic"): "ec2bcd8c0a61e158d890a9d5463f3d1a"
+                               "2b5f44eecb5d34930ef5471f824e6620",
+        ("train", "corpus"): "0e755f567b93436f5cbbc4946f8de906"
+                             "46a7ecf99ee3045d5ea240e7b6b32b7a",
+        ("dev", "subtopic"): "f3fc87401e2981372de1ec6912c706d9"
+                             "f97cfc3e4434bfc74579d0b3171659d7",
+        ("dev", "corpus"): "3ae3e3b237caee942ad7cd9f32b65d8f"
+                           "0d8f2b6e8ed754faf46a2112f07bfc76",
+        ("test", "subtopic"): "78f97e23bd7ce4727603b7ef799cf3a3"
+                              "0ad576dfdb9befec1a3015d0f44ff295",
+        ("test", "corpus"): "7dcb7b635d4f7be2c8bc12d901f73aef"
+                            "27a9c7a4ae29674353c6689ad84bf2e9",
+    }
+
+    @pytest.mark.parametrize("split", sorted(DESK_SPLIT_SPECS))
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_pinned_desk_pairs(self, split, scope):
+        corpus = generate_synthetic(DESK_SPLIT_SPECS[split])[0]
+        data = build_dataset(corpus, preset("desk").embedder, "baseline",
+                             scope=scope)
+        digest = hashlib.sha256()
+        for arr in (data.pair_i, data.pair_j, data.labels):
+            digest.update(arr.tobytes())
+        pinned = self.PINNED_DESK_PAIRS[
+            split, "corpus" if scope == "corpus" else "subtopic"]
+        assert digest.hexdigest() == pinned
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(corpus=interleaved_corpora(), scope=st.sampled_from(SCOPES))
+    def test_pairs_match_reference_loop(self, corpus, scope):
+        """``candidate_pairs`` and ``build_dataset``'s labels, and the
+        mention a labelled build names when one lacks a gold cluster, are
+        those of the original pair loop, in its order."""
+        expected = candidate_pairs_oracle(corpus, scope)
+        pairs = candidate_pairs(corpus, scope)
+        ids = [m.mention_id for m in corpus.mentions_in_order()]
+        assert [(ids[i], ids[j]) for i, j in pairs.tolist()] \
+            == [(a, b) for a, b, _ in expected]
+        data = build_dataset(corpus, EMB, "baseline", scope=scope,
+                             labeled=False)
+        assert data.mention_ids == ids
+        assert np.array_equal(np.column_stack([data.pair_i, data.pair_j]),
+                              pairs)
+        assert not data.labels.any()
+        gold = {m.mention_id: m.gold_cluster_id
+                for m in corpus.mentions.values()}
+        unlabeled = [a if gold[a] is None else b
+                     for a, b, label in expected if label is None]
+        if unlabeled:
+            with pytest.raises(CorpusFormatError) as error:
+                build_dataset(corpus, EMB, "baseline", scope=scope)
+            assert str(error.value) == (f"mention {unlabeled[0]!r} has no "
+                                        f"gold cluster; cannot label pairs")
+        else:
+            data = build_dataset(corpus, EMB, "baseline", scope=scope)
+            assert data.labels.tolist() == [label for *_, label in expected]
 
     def test_all_empty_inference_sets_still_scorable(self, small_corpus,
                                                      tmp_path):
