@@ -417,11 +417,12 @@ class GenerationServiceProvider:
 
     Request body: {"prompt", "top_p", "max_tokens", "stop"}; response:
     {"completion": str}. The credential is read from the environment at call
-    time, sent as a bearer token, and never persisted or logged. Failures,
-    a reply other than that object among them, are retried with
-    exponential backoff: ``MAX_ATTEMPTS`` tries, the first wait
-    ``BACKOFF_START`` seconds, doubling after each. The last failure is
-    raised as an ``InferenceError`` naming the endpoint.
+    time, sent as a bearer token, and never persisted or logged. A failed
+    request or a status other than 200 is retried with exponential
+    backoff: ``MAX_ATTEMPTS`` tries, the first wait ``BACKOFF_START``
+    seconds, doubling after each; the last failure is raised. A 200 reply
+    other than that object is raised at once. Both are an
+    ``InferenceError`` naming the endpoint.
     """
 
     MAX_ATTEMPTS = 3
@@ -458,19 +459,23 @@ class GenerationServiceProvider:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=headers,
                                           timeout=self.timeout)
-                if resp.status_code != 200:
-                    last_error = InferenceError(
-                        f"{self.endpoint}: generation service returned HTTP "
-                        f"{resp.status_code}")
-                    continue
-                return check_record(resp.json(), {"completion": str},
-                                    self.endpoint, "generation reply",
-                                    InferenceError)["completion"]
-            except (requests.RequestException, ValueError) as exc:
+            except requests.RequestException as exc:
                 last_error = InferenceError(
                     f"{self.endpoint}: generation service failure: {exc}")
-            except InferenceError as exc:
-                last_error = exc
+                continue
+            if resp.status_code != 200:
+                last_error = InferenceError(
+                    f"{self.endpoint}: generation service returned HTTP "
+                    f"{resp.status_code}")
+                continue
+            try:  # a reply off the protocol fails at once: no retry mends it
+                body = resp.json()
+            except ValueError as exc:
+                raise InferenceError(f"{self.endpoint}: generation service "
+                                     f"failure: {exc}") from exc
+            return check_record(body, {"completion": str}, self.endpoint,
+                                "generation reply",
+                                InferenceError)["completion"]
         raise last_error
 
     def generate(self, mention, context_sentence: str,

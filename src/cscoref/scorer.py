@@ -15,13 +15,20 @@ cs = [attended_before, attended_after] for the routed inference sets (the
 mention's own sets in intra mode, the other mention's in inter mode; the
 query is always the ctx the cs block is attached to).
 
-Training runs the first layer pair-major (``forward_batch``/
-``backward_batch``); scoring runs one path in every mode, ``score_dataset``,
-which projects it per attention row. Both share one selection stage,
-``attention_rows`` (span reps, attention rows and sentence reps), and then
-attend with their own kernel: training with ``attention_forward``, which
-keeps the key projections its backward pass reads, and scoring from the
-query side with ``query_side_attention``, which projects no key.
+Training runs the first layer pair-major, in two named stages each way:
+``forward_head`` (span reps, attention, the gather of every pair's g into
+``G``), which reads no ``TAIL_BLOCKS``, then ``forward_tail`` (``G @ W1 +
+b1`` to the sigmoid); ``backward_tail`` down to the first layer's output,
+then ``backward_head``. ``forward_batch``/``backward_batch`` compose them
+for ``explain``, ``gradients`` and the gradcheck; the training loop runs
+them itself, so that a helper thread can take ``W1``'s gradient and update
+beside the rest of a step. Scoring runs one path in every mode,
+``score_dataset``, which projects the first layer per attention row. Both
+share one selection stage, ``attention_rows`` (span reps, attention rows
+and sentence reps), and then attend with their own kernel: training with
+``attention_forward``, which keeps the key projections its backward pass
+reads, and scoring from the query side with ``query_side_attention``,
+which projects no key.
 
 ``ModelParameters`` holds every block as a view into one contiguous
 float64 vector in BLOCK_ORDER, and gradients use the same container: the
@@ -44,6 +51,8 @@ MODES = ("baseline", "intra", "inter")
 
 BLOCK_ORDER = ("w_alpha", "width_table", "W_q_before", "W_k_before",
                "W_q_after", "W_k_after", "W1", "b1", "W2", "b2")
+# the blocks forward_tail reads, W1 and after; forward_head reads the rest
+TAIL_BLOCKS = BLOCK_ORDER[BLOCK_ORDER.index("W1"):]
 
 CKPT_MAGIC = b"CSCOREF-CKPT-1\n"
 
@@ -492,7 +501,7 @@ def attention_rows(params: ModelParameters, data: PairDataset,
     ``sent_reps`` holds every inference sentence's representation and
     ``att[rel]`` each row's sentence indices ``idx`` (k of them, padded with
     -1) and their ``kmask``; ``att`` is None in baseline. The caller
-    attends: ``forward_batch`` through ``attention_forward``,
+    attends: ``forward_head`` through ``attention_forward``,
     ``score_dataset`` through ``query_side_attention``."""
     mode = params.dims.mode
     span_reps, span_cache = span_reps_forward(
@@ -533,24 +542,17 @@ def query_side_attention(Q: np.ndarray, query_of: np.ndarray,
     return np.einsum("bk,bkr->br", masked_softmax(scores, kmask), Kr)
 
 
-def forward_batch(params: ModelParameters, data: PairDataset,
-                  sel: np.ndarray, training: bool = False,
-                  dropout_mask: Optional[np.ndarray] = None,
-                  dropout: float = 0.3):
-    """End-to-end probabilities for the selected pairs, pair-major: each
-    pair's g is gathered from ``attention_rows`` and ``attention_forward``
-    and multiplied by W1. Training, ``explain`` and the gradcheck run it;
-    scoring runs ``score_dataset``.
-
-    When ``training`` is set the caller supplies the hidden-layer dropout
-    mask so that a loss evaluation and its gradient share the same mask.
-    """
+def forward_head(params: ModelParameters, data: PairDataset,
+                 sel: np.ndarray) -> dict:
+    """The stage of ``forward_batch`` that reads no ``TAIL_BLOCKS``:
+    ``attention_rows``, ``attention_forward`` per relation, and the gather
+    of each selected pair's g into the rows of ``G`` (its ``g_dim``
+    columns). Returns the cache ``backward_head`` reads, ``G`` in it."""
     qi = data.pair_i[sel]
     qj = data.pair_j[sel]
     n = len(sel)
     cache = attention_rows(params, data, qi, qj)
-    cache.update({"qi": qi, "qj": qj, "dropout_mask": dropout_mask,
-                  "training": training, "dropout": dropout})
+    cache.update({"qi": qi, "qj": qj})
     Q, inverse = cache["span_reps"][cache["att_q"]], cache["inverse"]
     blocks = [Q[inverse[:n]], Q[inverse[n:]]]
     if cache["att"] is not None:
@@ -565,8 +567,17 @@ def forward_batch(params: ModelParameters, data: PairDataset,
             outs.append(out)
         cs = np.concatenate(outs, axis=1)
         blocks += [cs[inverse[:n]], cs[inverse[n:]]]
-    G = np.concatenate(blocks, axis=1)
+    cache["G"] = np.concatenate(blocks, axis=1)
+    return cache
 
+
+def forward_tail(params: ModelParameters, G: np.ndarray,
+                 training: bool = False,
+                 dropout_mask: Optional[np.ndarray] = None,
+                 dropout: float = 0.3):
+    """The stage of ``forward_batch`` after the features: ``G @ W1 + b1``,
+    the ReLU, dropout, the logit and the sigmoid. Returns (probabilities,
+    the cache ``backward_tail`` reads)."""
     z1 = G @ params.W1
     z1 += params.b1
     hidden = np.maximum(z1, 0.0)
@@ -577,7 +588,28 @@ def forward_batch(params: ModelParameters, data: PairDataset,
         hidden /= 1.0 - dropout
     logits = hidden @ params.W2 + params.b2
     probs = sigmoid(logits)
-    cache.update({"G": G, "z1": z1, "hidden_used": hidden, "probs": probs})
+    return probs, {"z1": z1, "hidden_used": hidden, "probs": probs,
+                   "training": training, "dropout_mask": dropout_mask,
+                   "dropout": dropout}
+
+
+def forward_batch(params: ModelParameters, data: PairDataset,
+                  sel: np.ndarray, training: bool = False,
+                  dropout_mask: Optional[np.ndarray] = None,
+                  dropout: float = 0.3):
+    """End-to-end probabilities for the selected pairs, pair-major:
+    ``forward_head`` then ``forward_tail``, with one cache for both
+    backward stages. ``explain``, ``gradients`` and the gradcheck run it;
+    training runs the two stages itself, and scoring runs
+    ``score_dataset``.
+
+    When ``training`` is set the caller supplies the hidden-layer dropout
+    mask so that a loss evaluation and its gradient share the same mask.
+    """
+    cache = forward_head(params, data, sel)
+    probs, tail = forward_tail(params, cache["G"], training=training,
+                               dropout_mask=dropout_mask, dropout=dropout)
+    cache.update(tail)
     return probs, cache
 
 
@@ -621,21 +653,14 @@ def score_dataset(params: ModelParameters, data: PairDataset) -> np.ndarray:
     return sigmoid(logits + params.b2)
 
 
-def backward_batch(params: ModelParameters, data: PairDataset, cache,
-                   labels: np.ndarray,
-                   grads: Optional[ModelParameters] = None
-                   ) -> ModelParameters:
-    """Exact gradients of the mean clamped BCE for the forward in ``cache``.
-
-    They overwrite ``grads`` (a fresh container when None), which a
-    training loop passes back on every step, and return it. Each gathered
-    row gradient is one ``segment_sum`` over the forward's gathers in order.
-    """
-    dims = params.dims
-    grads = ModelParameters(dims) if grads is None else grads
-    w1 = grads.slices["W1"]
-    grads.flat[:w1.start] = 0.0  # W1's own gradient is written, not added
-    grads.flat[w1.stop:] = 0.0
+def backward_tail(params: ModelParameters, cache, labels: np.ndarray,
+                  grads: ModelParameters) -> np.ndarray:
+    """The gradients of ``b1``, ``W2`` and ``b2`` of the mean clamped BCE,
+    from ``forward_tail``'s cache, written over those blocks of ``grads``;
+    returns the gradient of the first layer's output, ``d_z1``. The caller
+    finishes the first layer: ``W1``'s gradient is ``G.T @ d_z1`` and the
+    head's ``d_G`` is ``d_z1 @ W1.T``."""
+    grads.flat[grads.slices["W1"].stop:] = 0.0
     probs = cache["probs"]
     y = np.asarray(labels, dtype=np.float64)
     n = len(y)
@@ -649,10 +674,18 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
         d_z1 *= cache["dropout_mask"]
         d_z1 /= 1.0 - cache["dropout"]
     d_z1 *= cache["z1"] > 0
-    np.matmul(cache["G"].T, d_z1, out=grads.W1)
     grads.b1 += d_z1.sum(axis=0)
-    d_G = d_z1 @ params.W1.T
+    return d_z1
 
+
+def backward_head(params: ModelParameters, data: PairDataset, cache,
+                  d_G: np.ndarray, grads: ModelParameters):
+    """The gradients of the blocks before ``W1`` (span representations and
+    attention) from ``forward_head``'s cache and ``d_G``, written over
+    those blocks of ``grads``. Each gathered row gradient is one
+    ``segment_sum`` over the forward's gathers in order."""
+    dims = params.dims
+    grads.flat[:grads.slices["W1"].start] = 0.0
     r = dims.rep_dim
     span_index = [cache["qi"], cache["qj"]]
     span_rows = [d_G[:, :r], d_G[:, r:2 * r]]
@@ -688,6 +721,21 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
         np.concatenate([c["tensors"].buckets for _, c in reps]),
         np.concatenate([d_reps[:, 3 * dims.d:] for d_reps, _ in reps]),
         dims.max_width_bucket)
+
+
+def backward_batch(params: ModelParameters, data: PairDataset, cache,
+                   labels: np.ndarray,
+                   grads: Optional[ModelParameters] = None
+                   ) -> ModelParameters:
+    """Exact gradients of the mean clamped BCE for ``forward_batch``'s
+    cache: ``backward_tail``, the first layer, then ``backward_head``.
+
+    They overwrite ``grads`` (a fresh container when None) and return it.
+    """
+    grads = ModelParameters(params.dims) if grads is None else grads
+    d_z1 = backward_tail(params, cache, labels, grads)
+    np.matmul(cache["G"].T, d_z1, out=grads.W1)
+    backward_head(params, data, cache, d_z1 @ params.W1.T, grads)
     return grads
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,9 +16,12 @@ from .commonsense import BULK_CHUNK, GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, CorpusFormatError, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
 from .metrics import EvalOptions, GoldKey, evaluate
-from .scorer import (BLOCK_ORDER, MODES, ModelDims, ModelParameters,
-                     INIT_PIECE, PairDataset, SpanTensors, backward_batch,
-                     bce_loss, forward_batch, init_parameters, score_dataset)
+from .scorer import (BLOCK_ORDER, LOSS_EPS, MODES, TAIL_BLOCKS, ModelDims,
+                     ModelParameters, INIT_PIECE, PairDataset, SpanTensors,
+                     backward_head, backward_tail, bce_loss, forward_batch,
+                     forward_head, forward_tail, gradients, init_parameters,
+                     score_dataset)
+from .scorer import backward_batch  # not called here: the benchmark wraps it
 
 
 @dataclass
@@ -139,11 +143,12 @@ class Adam:
     """Adaptive-moment updates over the flat parameter vector.
 
     Its only parameter-sized state is the two moments, so training holds
-    five such vectors (see ``train``). A step runs its element-wise
-    operations, one pass each in a fixed order, over ``INIT_PIECE``-sized
-    pieces of the vector into two piece-sized scratch buffers: each piece
-    stays in cache, and every element sees the operations of a
-    whole-vector pass, so the bytes are the same.
+    five such vectors (see ``train``). An update runs its element-wise
+    operations, one pass each in a fixed order, over pieces of a range of
+    the vector (``INIT_PIECE`` doubles at most) into two piece-sized
+    scratch buffers: each piece stays in cache, and every element sees the
+    operations of a whole-vector pass, so the bytes are the same however
+    the vector is cut.
     """
 
     BETA1 = 0.9
@@ -155,18 +160,37 @@ class Adam:
         self.t = 0
         size = ModelParameters(dims).flat.size
         self.m, self.v = np.zeros(size), np.zeros(size)
-        piece = min(size, INIT_PIECE)
-        self._a, self._b = np.empty(piece), np.empty(piece)
+
+    @staticmethod
+    def scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two buffers for ``update`` over up to ``n`` elements: a piece
+        each, or ``n`` doubles when that is fewer."""
+        piece = min(n, INIT_PIECE)
+        return np.empty(piece), np.empty(piece)
 
     def step(self, params: ModelParameters, grads: ModelParameters):
-        self.t += 1
-        bias1 = 1.0 - self.BETA1 ** self.t
-        bias2 = 1.0 - self.BETA2 ** self.t
+        """One step over the whole vector."""
         size = params.flat.size
-        for lo in range(0, size, INIT_PIECE):
-            hi = min(lo + INIT_PIECE, size)
-            g, m, v = grads.flat[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            a, b = self._a[:hi - lo], self._b[:hi - lo]
+        self.update(params, grads, self.advance(), 0, size,
+                    self.scratch(size))
+
+    def advance(self) -> tuple[float, float]:
+        """Count one step; returns its two bias corrections."""
+        self.t += 1
+        return 1.0 - self.BETA1 ** self.t, 1.0 - self.BETA2 ** self.t
+
+    def update(self, params: ModelParameters, grads: ModelParameters,
+               bias: tuple[float, float], lo: int, hi: int, scratch):
+        """The step of ``bias`` over elements ``lo:hi``, in pieces the
+        length of the ``scratch`` buffers. Two threads may update disjoint
+        ranges at once, each with its own scratch."""
+        bias1, bias2 = bias
+        scratch_a, scratch_b = scratch
+        for start in range(lo, hi, len(scratch_a)):
+            stop = min(start + len(scratch_a), hi)
+            g, m, v = (grads.flat[start:stop], self.m[start:stop],
+                       self.v[start:stop])
+            a, b = scratch_a[:stop - start], scratch_b[:stop - start]
             m *= self.BETA1
             m += np.multiply(1.0 - self.BETA1, g, out=a)
             v *= self.BETA2
@@ -175,7 +199,14 @@ class Adam:
             np.sqrt(np.divide(v, bias2, out=b), out=b)
             b += self.EPS
             np.divide(np.divide(m, bias1, out=a), b, out=a)
-            params.flat[lo:hi] -= np.multiply(self.lr, a, out=a)
+            params.flat[start:stop] -= np.multiply(self.lr, a, out=a)
+
+
+def _wait(jobs: list):
+    """Wait for the helper's jobs in order, raising the first one's error."""
+    for job in jobs:
+        job.result()
+    jobs.clear()
 
 
 def pairwise_f1(probs: np.ndarray, labels: np.ndarray,
@@ -204,9 +235,23 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
 
     Training holds five parameter-sized vectors: the parameters, a
     best-epoch snapshot allocated once (each improving epoch is copied into
-    it), the gradient vector ``backward_batch`` overwrites, and Adam's two
+    it), the gradient vector the backward stages overwrite, and Adam's two
     moments. At the service dims (d=1024, d_a=512, h=1024) each is 25.3M
     doubles, 203 MB.
+
+    Each step runs the scorer's stages (``forward_head``, ``forward_tail``,
+    ``backward_tail``, ``backward_head``), and one helper thread, started
+    per call and shut down on every exit, takes the work that touches only
+    ``W1``, most of the parameters: its gradient ``G.T @ d_z1`` while this
+    thread computes ``d_G`` from the old ``W1``, then Adam over ``W1``'s
+    range while this thread finishes the backward pass, runs Adam over the
+    rest and the next step's ``forward_head``, which reads no ``W1``. The
+    step waits for the helper before its ``forward_tail``, and the epoch
+    before dev scoring; an error in the helper is raised here. No
+    element's operations change, so the bytes are those of one thread.
+    They do depend on the BLAS thread count: the pinned desk checkpoints
+    assume ``OPENBLAS_NUM_THREADS=1``, which also leaves a core to the
+    helper.
     """
     dev_data = data if dev_data is None else dev_data
     if data.n_pairs == 0:
@@ -222,45 +267,63 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     grads = ModelParameters(dims)
     draws = np.empty((train_config.batch_size, dims.h))
     keep = np.empty(draws.shape, dtype=bool)
+    # Adam's scratch: the helper's for W1, this thread's for the rest
+    w1, size = params.slices["W1"], params.flat.size
+    helper_scratch = optimizer.scratch(w1.stop - w1.start)
+    scratch = optimizer.scratch(max(w1.start, size - w1.stop))
 
     history = []
     best_f1 = -1.0
     best_params = params.copy()
     best_epoch = -1
     stale = 0
-    for epoch in range(train_config.epochs):
-        order = shuffle_rng.permutation(data.n_pairs)
-        losses = []
-        for lo in range(0, data.n_pairs, train_config.batch_size):
-            sel = order[lo:lo + train_config.batch_size]
-            mask = np.greater_equal(dropout_rng.random(out=draws[:len(sel)]),
-                                    train_config.dropout,
-                                    out=keep[:len(sel)])
-            probs, fw_cache = forward_batch(
-                params, data, sel, training=True, dropout_mask=mask,
-                dropout=train_config.dropout)
-            loss = bce_loss(probs, data.labels[sel])
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss at epoch {epoch}")
-            backward_batch(params, data, fw_cache, data.labels[sel], grads)
-            optimizer.step(params, grads)
-            losses.append(loss)
-        dev_probs = score_dataset(params, dev_data)
-        dev_f1 = pairwise_f1(dev_probs, dev_data.labels)
-        history.append({"epoch": epoch,
-                        "train_loss": float(np.mean(losses)),
-                        "dev_f1": dev_f1})
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
-            best_params.flat[...] = params.flat
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if (train_config.patience is not None
-                    and stale >= train_config.patience):
-                break
+    jobs = []  # the helper's jobs not yet waited for
+    with ThreadPoolExecutor(1) as helper:  # exits once the helper is done
+        for epoch in range(train_config.epochs):
+            order = shuffle_rng.permutation(data.n_pairs)
+            losses = []
+            for lo in range(0, data.n_pairs, train_config.batch_size):
+                sel = order[lo:lo + train_config.batch_size]
+                mask = np.greater_equal(
+                    dropout_rng.random(out=draws[:len(sel)]),
+                    train_config.dropout, out=keep[:len(sel)])
+                head = forward_head(params, data, sel)
+                _wait(jobs)  # the last step's W1 update
+                probs, tail = forward_tail(
+                    params, head["G"], training=True, dropout_mask=mask,
+                    dropout=train_config.dropout)
+                loss = bce_loss(probs, data.labels[sel])
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        f"non-finite training loss at epoch {epoch}")
+                d_z1 = backward_tail(params, tail, data.labels[sel], grads)
+                bias = optimizer.advance()
+                jobs.append(helper.submit(np.matmul, head["G"].T, d_z1,
+                                          out=grads.W1))
+                d_G = d_z1 @ params.W1.T  # before the helper moves W1
+                jobs.append(helper.submit(optimizer.update, params, grads,
+                                          bias, w1.start, w1.stop,
+                                          helper_scratch))
+                backward_head(params, data, head, d_G, grads)
+                optimizer.update(params, grads, bias, 0, w1.start, scratch)
+                optimizer.update(params, grads, bias, w1.stop, size, scratch)
+                losses.append(loss)
+            _wait(jobs)
+            dev_probs = score_dataset(params, dev_data)
+            dev_f1 = pairwise_f1(dev_probs, dev_data.labels)
+            history.append({"epoch": epoch,
+                            "train_loss": float(np.mean(losses)),
+                            "dev_f1": dev_f1})
+            if dev_f1 > best_f1:
+                best_f1 = dev_f1
+                best_params.flat[...] = params.flat
+                best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if (train_config.patience is not None
+                        and stale >= train_config.patience):
+                    break
     return best_params, {"epochs": history, "best_epoch": best_epoch,
                          "best_dev_f1": best_f1}
 
@@ -432,24 +495,30 @@ def finite_difference_check(params: ModelParameters, data: PairDataset,
     loss is locally non-differentiable and central differences straddle two
     linear regions, so their disagreement says nothing about the gradient.
     With ``training`` set, one dropout mask is drawn up front and shared by
-    the analytic gradients and every perturbed loss evaluation.
+    the analytic gradients and every perturbed loss evaluation. A
+    coordinate of ``TAIL_BLOCKS`` leaves ``forward_head`` unchanged, so its
+    losses rerun only ``forward_tail`` on the head computed once; every
+    other coordinate reruns ``forward_batch``.
     """
-    from .scorer import LOSS_EPS, bce_loss, forward_batch
-    from .scorer import gradients as exact_gradients
-
     mask = None
     if training:
         if dropout_rng is None:
             dropout_rng = np.random.default_rng(0)
         mask = dropout_rng.random((len(sel), params.dims.h)) >= dropout
-    _, grads = exact_gradients(params, data, sel, training=training,
-                               dropout_mask=mask, dropout=dropout)
+    _, grads = gradients(params, data, sel, training=training,
+                         dropout_mask=mask, dropout=dropout)
     if _corrupt_block is not None:
         grads[_corrupt_block] += 1e-3
+    G = forward_head(params, data, sel)["G"]
 
-    def loss_and_region():
-        probs, cache = forward_batch(params, data, sel, training=training,
-                                     dropout_mask=mask, dropout=dropout)
+    def loss_and_region(name):
+        if name in TAIL_BLOCKS:
+            probs, cache = forward_tail(params, G, training=training,
+                                        dropout_mask=mask, dropout=dropout)
+        else:
+            probs, cache = forward_batch(params, data, sel,
+                                         training=training,
+                                         dropout_mask=mask, dropout=dropout)
         loss = bce_loss(probs, data.labels[sel])
         region = ((cache["z1"] > 0).tobytes(),
                   ((probs > LOSS_EPS)
@@ -464,9 +533,9 @@ def finite_difference_check(params: ModelParameters, data: PairDataset,
     for idx, name in enumerate(block_of):
         orig = flat[idx]
         flat[idx] = orig + step
-        up, region_up = loss_and_region()
+        up, region_up = loss_and_region(name)
         flat[idx] = orig - step
-        down, region_down = loss_and_region()
+        down, region_down = loss_and_region(name)
         flat[idx] = orig
         if region_up != region_down:
             skipped[name] += 1

@@ -678,6 +678,21 @@ class TestGenerationService:
                               GenerationConfig())
         assert len(generation_server.requests) == 3
 
+    @pytest.mark.parametrize("completion", [5, None, ["a"]])
+    def test_malformed_reply_fails_at_once(self, generation_server,
+                                           completion):
+        """A 200 reply off the protocol is not retried: one POST, no
+        backoff wait."""
+        generation_server.completion = completion
+        sleeps = []
+        provider = self.provider(generation_server, sleep=sleeps.append)
+        mention = Mention("m1", "d1", 0, 1, 1, "landed")
+        with pytest.raises(InferenceError, match="'completion'"):
+            provider.generate(mention, "the plane landed",
+                              GenerationConfig())
+        assert len(generation_server.requests) == 1
+        assert sleeps == []
+
     def test_credential_sent_not_cached(self, generation_server, tmp_path,
                                         monkeypatch):
         monkeypatch.setenv(GENERATION_CREDENTIAL_ENV, "sekrit-token")

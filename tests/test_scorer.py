@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscoref.scorer import (BLOCK_ORDER, ModelDims, NonFiniteParameterError,
-                            ScorerError, attend, batch_loss,
-                            batch_loss_from_dataset, commonsense_vector,
-                            forward_batch, gradients, init_parameters,
+from cscoref.scorer import (BLOCK_ORDER, ModelDims, ModelParameters,
+                            NonFiniteParameterError, ScorerError, attend,
+                            backward_batch, backward_head, backward_tail,
+                            batch_loss, batch_loss_from_dataset,
+                            commonsense_vector, forward_batch, forward_head,
+                            forward_tail, gradients, init_parameters,
                             load_checkpoint, pair_features, save_checkpoint,
                             score_pair, segment_sum)
 from cscoref.training import make_random_dataset
@@ -297,6 +299,59 @@ class TestGradients:
                         for name in BLOCK_ORDER)
         assert hashlib.sha256(blob).hexdigest() == \
             self.PINNED_GRADIENTS[mode]
+
+    # sha256 of the probabilities, z1 and the gradient vector of
+    # forward_batch and backward_batch on pairs 3..39 of the pinned
+    # gradients' dataset, with no mask and with a mask drawn at seed 4, as
+    # computed before the two kernels were split into stages
+    PINNED_STAGES = {
+        ("baseline", False): "38fcca3e3520a0a41665f8c4b8f10c4e"
+                             "b57eddc257d61845d3e5874e981519f1",
+        ("baseline", True): "45d83a5958ecdb0420753a46f5730658"
+                            "344e78246bc9f83a90f58b8df434814f",
+        ("intra", False): "b3d7a6a32404f6d31d973158ee0269dc"
+                          "4a5c7e748ecf64dbea95a16cfd566a1d",
+        ("intra", True): "89afd12460037b47fddbd71a058a5f14"
+                         "670f2d27d223de2109332d359fe24a2d",
+        ("inter", False): "00da41cdecde3c756fe63562c7a25660"
+                          "7127e4aee59c0553a43e45b8c2e76c20",
+        ("inter", True): "2c6e9f35e599afac125ba0ce42394abe"
+                         "013f5c328b1b0e43d8f6a64f55673452",
+    }
+
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["no-mask", "mask"])
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_stages_reproduce_batch_kernels(self, mode, masked):
+        """The stages, run as the training loop runs them into a gradient
+        vector that holds a previous step's values, give the bytes of
+        ``forward_batch`` and ``backward_batch``; both hold their pin."""
+        dims = ModelDims(d=4, d_len=3, d_a=2, h=6, mode=mode)
+        params = init_parameters(dims, 0)
+        data = make_random_dataset(dims, 5, n_mentions=12, n_pairs=40)
+        sel = np.arange(3, 40)
+        labels = data.labels[sel]
+        mask = np.random.default_rng(4).random((len(sel), dims.h)) >= 0.3 \
+            if masked else None
+        probs, cache = forward_batch(params, data, sel, training=masked,
+                                     dropout_mask=mask)
+        want = backward_batch(params, data, cache, labels)
+
+        head = forward_head(params, data, sel)
+        stage_probs, tail = forward_tail(params, head["G"], training=masked,
+                                         dropout_mask=mask)
+        grads = ModelParameters(dims)
+        grads.flat[:] = np.nan  # what a stage leaves unwritten stays NaN
+        d_z1 = backward_tail(params, tail, labels, grads)
+        np.matmul(head["G"].T, d_z1, out=grads.W1)
+        backward_head(params, data, head, d_z1 @ params.W1.T, grads)
+
+        assert stage_probs.tobytes() == probs.tobytes()
+        assert tail["z1"].tobytes() == cache["z1"].tobytes()
+        assert grads.flat.tobytes() == want.flat.tobytes()
+        digest = hashlib.sha256(probs.tobytes() + cache["z1"].tobytes()
+                                + (want.flat + 0.0).tobytes()).hexdigest()
+        assert digest == self.PINNED_STAGES[mode, masked]
 
     def test_loss_matches_batch_loss_from_dataset(self, dims, params):
         data = make_random_dataset(dims, 5, n_pairs=6)

@@ -1,4 +1,7 @@
 import hashlib
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +246,34 @@ class TestAdam:
         for dims in (small, partial):
             self.check_against_per_block_reference(dims)
 
+    def test_ranges_on_two_threads_bit_equal_to_step(self):
+        """Training's cut of a step, W1's range on a helper thread with
+        its own scratch and the rest here in short pieces, gives the bytes
+        of whole-vector steps."""
+        dims = ModelDims(d=4, d_len=2, d_a=2, h=500, mode="intra",
+                         max_width_bucket=3)
+        whole, cut = init_parameters(dims, 1), init_parameters(dims, 1)
+        opt_whole, opt_cut = Adam(dims, lr=1e-2), Adam(dims, lr=1e-2)
+        w1, size = cut.slices["W1"], cut.flat.size
+        assert w1.stop - w1.start > INIT_PIECE
+        helper_scratch = Adam.scratch(w1.stop - w1.start)
+        scratch = Adam.scratch(7)  # pieces of 7 doubles
+        grads = ModelParameters(dims)
+        rng = np.random.default_rng(3)
+        with ThreadPoolExecutor(1) as helper:
+            for _ in range(20):
+                grads.flat[:] = rng.standard_normal(size)
+                opt_whole.step(whole, grads)
+                bias = opt_cut.advance()
+                job = helper.submit(opt_cut.update, cut, grads, bias,
+                                    w1.start, w1.stop, helper_scratch)
+                opt_cut.update(cut, grads, bias, 0, w1.start, scratch)
+                opt_cut.update(cut, grads, bias, w1.stop, size, scratch)
+                job.result()
+        assert cut.flat.tobytes() == whole.flat.tobytes()
+        assert opt_cut.m.tobytes() == opt_whole.m.tobytes()
+        assert opt_cut.v.tobytes() == opt_whole.v.tobytes()
+
     @staticmethod
     def check_against_per_block_reference(dims):
         params = init_parameters(dims, 1)
@@ -323,6 +354,51 @@ class TestTrain:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert (digest, history["epochs"][-1]["train_loss"]) \
             == self.PINNED_TRAINED[mode]
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_slow_helper_keeps_pinned_bytes(self, tmp_path, small_spec,
+                                            small_corpus, monkeypatch, mode):
+        """Every job of the helper thread starts 5 ms late: a step that
+        read W1 before its update finished would move the bytes."""
+        submitted = []
+
+        class SlowHelper(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                def late():
+                    time.sleep(0.005)
+                    return fn(*args, **kwargs)
+                submitted.append(fn)
+                return super().submit(late)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", SlowHelper)
+        self.test_pinned_trained_bytes(tmp_path, small_spec, small_corpus,
+                                       mode)
+        assert len(submitted) == 2 * 4 * 3  # two jobs a step, 12 steps
+
+    def test_helper_error_raised_from_train(self, small_spec, small_corpus,
+                                            monkeypatch):
+        """An error in the helper's third job comes out of ``train``, and
+        no thread outlives the call."""
+        jobs = []
+
+        class FailingHelper(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                jobs.append(fn)
+                if len(jobs) == 3:
+                    def fn(*args, **kwargs):
+                        raise RuntimeError("helper job failed")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", FailingHelper)
+        data = build_dataset(small_corpus, EMB, "intra",
+                             inference_source=SyntheticProvider(small_spec))
+        config = TrainConfig(mode="intra", epochs=2, patience=None, seed=9,
+                             hidden=8, d_a=2, batch_size=5)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper job failed"):
+            train(data, EMB, config)
+        assert threading.active_count() == threads
+        assert len(jobs) == 4  # the next step's wait raised it
 
     def test_training_state_is_five_parameter_vectors(self):
         """Peak traced memory of a few steps at hidden 4096, where the
@@ -552,6 +628,35 @@ class TestGradcheckHarness:
         assert not report.passed
         assert report.per_block["W2"] > 1e-4
         assert "FAIL" in report.render()
+
+    def test_corrupted_head_gradient_fails(self):
+        """A block the tail does not read is still checked."""
+        report = gradcheck(mode="intra", seeds=(0,), d=4, d_len=3, d_a=2,
+                           hidden=6, n_pairs=4, training_mode_seeds=0,
+                           _corrupt_block="W_q_before")
+        assert not report.passed
+        assert report.per_block["W_q_before"] > 1e-4
+        assert max(err for name, err in report.per_block.items()
+                   if name != "W_q_before") <= 1e-4
+
+    def test_tail_coordinates_rerun_only_the_tail(self, monkeypatch):
+        """The check runs ``forward_batch`` twice per coordinate outside
+        ``TAIL_BLOCKS``, and ``forward_head`` once, for the features every
+        tail coordinate's ``forward_tail`` reads."""
+        calls = {"forward_batch": 0, "forward_head": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(training, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(training, name, counted)
+        dims = ModelDims(d=4, d_len=3, d_a=2, h=6, mode="intra")
+        params = init_parameters(dims, 0)
+        data = make_random_dataset(dims, 1000, n_pairs=4)
+        training.finite_difference_check(params, data, np.arange(4))
+        head = params.slices["W1"].start
+        assert calls == {"forward_batch": 2 * head,
+                         "forward_head": 1}
 
     def test_report_deterministic(self):
         a = gradcheck(mode="baseline", seeds=(3,), d=4, d_len=3, d_a=2,
