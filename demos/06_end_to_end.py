@@ -13,8 +13,8 @@ from cscoref import EmbedderConfig, TrainConfig, evaluate, train
 from cscoref.metrics import EvalOptions
 from cscoref.synthgen import (SyntheticProvider, SyntheticSpec,
                               easy_subset_mention_ids, generate_synthetic)
-from cscoref.training import (build_dataset, predict_clustering,
-                              tune_threshold)
+from cscoref.training import (best_cut, build_dataset, cluster_from_scores,
+                              score_dataset, scores_as_lookup)
 
 specs = {
     "train": SyntheticSpec(n_topics=6, clusters_per_topic=4,
@@ -45,13 +45,18 @@ for mode in ("baseline", "intra"):
                          learning_rate=1e-3)
     params, history = train(data["train"], embed_config, config,
                             dev_data=data["dev"])
-    tau = tune_threshold(params, corpora["dev"], dataset=data["dev"])
-    system = predict_clustering(params, corpora["test"], data["test"], tau)
+    # score each split once; tau is the dev cut with the best CoNLL F1, and
+    # the test split is clustered at it
+    dev, test = (scores_as_lookup(data[k], score_dataset(params, data[k]))
+                 for k in ("dev", "test"))
+    tau, _, dev_report = best_cut(corpora["dev"], dev)
+    system = cluster_from_scores(corpora["test"], test, tau)
     report = evaluate(corpora["test"], system, EvalOptions())
     easy = evaluate(corpora["test"], system,
                     mention_subset=easy_subset_mention_ids(corpora["test"]))
     print(f"\n{mode}: trained {len(history['epochs'])} epochs in "
-          f"{time.time() - start:.0f}s, tau={tau:.2f}")
+          f"{time.time() - start:.0f}s, tau={tau:.2f} "
+          f"(dev CoNLL F1 {dev_report.conll_f1:.4f})")
     print(f"  test CoNLL F1 = {report.conll_f1:.4f} "
           f"(easy-only subset {easy.conll_f1:.4f})")
     print(report.render_table())

@@ -16,10 +16,10 @@ from .embed import (EmbedderConfig, HashEmbedder, ServiceEmbedder,
 from .metrics import (EvalOptions, EvalReport, MetricScore, b_cubed, ceaf_e,
                       conll_f1, evaluate, muc)
 from .scorer import (AttentionOutput, ModelDims, ModelParameters,
-                     PairFeature, attend, batch_loss, commonsense_vector,
+                     PairFeature, attend, commonsense_vector,
                      init_parameters, load_checkpoint, pair_features,
                      save_checkpoint, score_pair)
 from .synthgen import (SyntheticProvider, SyntheticSpec, generate_synthetic,
                        write_fixtures)
-from .training import (TrainConfig, build_dataset, gradcheck,
-                       predict_clustering, train, tune_threshold)
+from .training import (TrainConfig, best_cut, build_dataset, gradcheck,
+                       train)

@@ -164,10 +164,6 @@ class Mention:
         return (self.doc_id, self.sentence_index, self.token_start,
                 self.token_end, self.mention_id)
 
-    @property
-    def width(self) -> int:
-        return self.token_end - self.token_start + 1
-
 
 class Clustering:
     """A partition of a declared mention set into named clusters."""
@@ -187,9 +183,6 @@ class Clustering:
         for m, c in self.assignment.items():
             out.setdefault(c, set()).add(m)
         return out
-
-    def cluster_of(self, mention_id: str) -> str:
-        return self.assignment[mention_id]
 
     def __eq__(self, other):
         if not isinstance(other, Clustering):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas, training
 from .cluster import check_unit_interval, write_clustering
 from .commonsense import (FixtureProvider, GenerationConfig,
                           GenerationServiceProvider, InferenceCache,
@@ -34,9 +34,9 @@ from .scorer import (ModelParameters, forward_batch, load_checkpoint,
                      save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
-from .training import (TrainConfig, build_dataset, cluster_from_scores,
-                       gradcheck, predict_clustering, score_dataset,
-                       scores_as_lookup, train, tune_threshold_from_scores)
+from .training import (DEFAULT_THRESHOLD_GRID, TrainConfig, best_cut,
+                       build_dataset, gradcheck, score_dataset,
+                       scores_as_lookup, train)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -350,8 +350,9 @@ def build_provider(config: RunConfig, split: str,
                       f"of fixture, synthetic, service")
 
 
-def open_run_dir(config: RunConfig, command: str) -> str:
-    """Create the run directory; refuse to reuse a completed one."""
+def open_run_dir(config: RunConfig, command: str, **fields) -> str:
+    """Create the run directory, its manifest holding ``fields`` too;
+    refuse to reuse a completed one."""
     out = config.out_dir
     manifest_path = os.path.join(out, "manifest.json")
     if os.path.exists(manifest_path):
@@ -373,7 +374,7 @@ def open_run_dir(config: RunConfig, command: str) -> str:
     manifest = {"command": command, "status": "running",
                 "config_fingerprint": config.fingerprint(),
                 "version": __version__, "started_at": time.time(),
-                "seeds": list(config.seeds)}
+                "seeds": list(config.seeds), **fields}
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     return out
@@ -391,11 +392,11 @@ def _close_run_dir(out: str, status: str, **fields):
 
 
 @contextmanager
-def run_dir(config: RunConfig, command: str):
+def run_dir(config: RunConfig, command: str, **fields):
     """The run directory of one command: ``completed`` when the body
     returns, ``failed`` with the error's class and message when it raises
     (the error propagates)."""
-    out = open_run_dir(config, command)
+    out = open_run_dir(config, command, **fields)
     try:
         yield out
     except BaseException as exc:
@@ -517,7 +518,8 @@ def cmd_train(config: RunConfig) -> int:
     _check_scopes(config)
     if config.threshold is not None:
         check_unit_interval("[cluster] threshold", config.threshold)
-    with run_dir(config, "train") as out:
+    # the BLAS that training ran on says which checkpoint bytes to expect
+    with run_dir(config, "train", blas=blas.describe()) as out:
         mode = config.train.mode
         train_corpus = load_corpus(config.corpus_paths["train"])
         train_data = _dataset_for(config, train_corpus, "train", mode)
@@ -527,6 +529,8 @@ def cmd_train(config: RunConfig) -> int:
         else:
             eval_corpus, dev_data = train_corpus, train_data
 
+        grid = (DEFAULT_THRESHOLD_GRID if config.threshold is None
+                else (config.threshold,))
         dev_conlls = []
         for seed in config.seeds:
             train_config = replace(config.train, seed=seed)
@@ -534,17 +538,11 @@ def cmd_train(config: RunConfig) -> int:
                                     train_config, dev_data=dev_data)
             ckpt_path = os.path.join(out, f"checkpoint_seed{seed}.bin")
             save_checkpoint(params, ckpt_path)
-            probs = score_dataset(params, dev_data)
-            lookup = scores_as_lookup(dev_data, probs)
-            if config.threshold is not None:
-                tau = config.threshold
-            else:
-                tau = tune_threshold_from_scores(
-                    eval_corpus, lookup, scope=config.cluster_scope,
-                    eval_options=config.eval_options)
-            system = cluster_from_scores(eval_corpus, lookup, tau,
-                                         scope=config.cluster_scope)
-            report = evaluate(eval_corpus, system, config.eval_options)
+            lookup = scores_as_lookup(dev_data,
+                                      score_dataset(params, dev_data))
+            tau, _, report = best_cut(eval_corpus, lookup, grid,
+                                      scope=config.cluster_scope,
+                                      eval_options=config.eval_options)
             dev_conlls.append(report.conll_f1)
             with open(os.path.join(out, f"history_seed{seed}.json"), "w",
                       encoding="utf-8") as fh:
@@ -572,19 +570,20 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
     _check_scopes(config)
     if tau is None:
         tau = config.threshold
-    if tau is not None:
-        check_unit_interval("threshold", tau)
+    if tau is None:
+        raise ConfigError("no threshold: pass --tau or set [cluster] "
+                          "threshold")
+    check_unit_interval("threshold", tau)
     with run_dir(config, "predict") as out:
         corpus = load_corpus(config.corpus_paths[split])
         params = _load_checked_checkpoint(config, checkpoint_path)
         mode = params.dims.mode
         data = _dataset_for(config, corpus, split, mode,
                             default_strict=False)
-        if tau is None:
-            raise ConfigError("no threshold: pass --tau or set [cluster] "
-                              "threshold")
-        system = predict_clustering(params, corpus, data, tau,
-                                    scope=config.cluster_scope)
+        # looked up on the module, where the benchmark's tracer wraps them
+        lookup = scores_as_lookup(data, training.score_dataset(params, data))
+        system = training.cluster_from_scores(corpus, lookup, tau,
+                                              scope=config.cluster_scope)
         clustering_path = os.path.join(out, f"clustering_{split}.jsonl")
         write_clustering(system, clustering_path, metadata={
             "tau": tau, "linkage": "average", "scope": config.cluster_scope,

@@ -255,14 +255,11 @@ def commonsense_vector(mode: str, ctx_self: np.ndarray, before_reps,
 @dataclass(frozen=True)
 class PairFeature:
     g: np.ndarray
-    first: str
-    second: str
-    mode: str
 
 
 def pair_features(ctx_i: np.ndarray, ctx_j: np.ndarray,
                   cs_i: Optional[np.ndarray], cs_j: Optional[np.ndarray],
-                  mode: str, first: str = "", second: str = "") -> PairFeature:
+                  mode: str) -> PairFeature:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if ctx_i.shape != ctx_j.shape:
@@ -275,19 +272,16 @@ def pair_features(ctx_i: np.ndarray, ctx_j: np.ndarray,
         if cs_i.shape != (2 * ctx_i.shape[0],):
             raise ValueError("commonsense vector has wrong dimension")
         g = np.concatenate([ctx_i, ctx_j, cs_i, cs_j])
-    return PairFeature(g, first, second, mode)
+    return PairFeature(g)
 
 
-def score_pair(params: ModelParameters, g: np.ndarray,
-               training: bool = False, rng=None,
-               dropout: float = 0.3) -> float:
+def score_pair(params: ModelParameters, g: np.ndarray) -> float:
     """Probability that the pair corefers: sigmoid MLP over the features.
 
-    Dropout masks the hidden layer only during training; evaluation is
-    deterministic. A non-finite value in ``W1``, ``b1``, ``W2`` or ``b2``
-    always makes the first-layer output or the logit non-finite (NaN and
-    ``0 * inf`` propagate), so only those two are checked; on a failure the
-    first non-finite block is named in the raised NonFiniteParameterError.
+    A non-finite value in ``W1``, ``b1``, ``W2`` or ``b2`` always makes the
+    first-layer output or the logit non-finite (NaN and ``0 * inf``
+    propagate), so only those two are checked; on a failure the first
+    non-finite block is named in the raised NonFiniteParameterError.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (params.dims.g_dim,):
@@ -298,11 +292,6 @@ def score_pair(params: ModelParameters, g: np.ndarray,
     if not np.all(np.isfinite(z1)):
         raise _non_finite_block(params, "W1")
     hidden = np.maximum(z1, 0.0)
-    if training:
-        if rng is None:
-            raise ValueError("training mode requires an rng for dropout")
-        mask = rng.random(hidden.shape) >= dropout
-        hidden = hidden * mask / (1.0 - dropout)
     with np.errstate(invalid="ignore", over="ignore"):
         logit = hidden @ params.W2 + params.b2
     if not np.isfinite(logit):
@@ -322,21 +311,13 @@ def _non_finite_block(params: ModelParameters,
 
 
 def bce_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy, probabilities clamped to [LOSS_EPS,
+    1 - LOSS_EPS]."""
+    if not len(probabilities):
+        raise ValueError("empty batch")
     p = np.clip(probabilities, LOSS_EPS, 1.0 - LOSS_EPS)
     y = np.asarray(labels, dtype=np.float64)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
-def batch_loss(params: ModelParameters, batch, training: bool = False,
-               rng=None, dropout: float = 0.3) -> float:
-    """Mean binary cross-entropy over (feature, label) items."""
-    items = list(batch)
-    if not items:
-        raise ValueError("empty batch")
-    probs = np.array([score_pair(params, g, training=training, rng=rng,
-                                 dropout=dropout) for g, _ in items])
-    labels = np.array([label for _, label in items], dtype=np.float64)
-    return bce_loss(probs, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +720,6 @@ def backward_batch(params: ModelParameters, data: PairDataset, cache,
     return grads
 
 
-def batch_loss_from_dataset(params: ModelParameters, data: PairDataset,
-                            sel: np.ndarray, training: bool = False,
-                            dropout_mask: Optional[np.ndarray] = None,
-                            dropout: float = 0.3) -> float:
-    probs, _ = forward_batch(params, data, sel, training=training,
-                             dropout_mask=dropout_mask, dropout=dropout)
-    return bce_loss(probs, data.labels[sel])
-
-
 def gradients(params: ModelParameters, data: PairDataset, sel: np.ndarray,
               training: bool = False,
               dropout_mask: Optional[np.ndarray] = None,
@@ -755,8 +727,8 @@ def gradients(params: ModelParameters, data: PairDataset, sel: np.ndarray,
     """(loss, gradient blocks) for the selected pairs.
 
     The dropout mask, when given, is shared between the loss and gradient
-    evaluation, so finite differences of ``batch_loss_from_dataset`` with the
-    same mask match these gradients exactly.
+    evaluation, so finite differences of ``bce_loss`` over
+    ``forward_batch`` with the same mask match these gradients exactly.
     """
     probs, cache = forward_batch(params, data, sel, training=training,
                                  dropout_mask=dropout_mask, dropout=dropout)

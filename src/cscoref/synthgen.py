@@ -110,10 +110,6 @@ class SyntheticSpec:
         return (self.n_topics * self.clusters_per_topic
                 * self.mentions_per_cluster)
 
-    @property
-    def n_clusters(self) -> int:
-        return self.n_topics * self.clusters_per_topic
-
 
 def _stable_rng(seed: int, *keys) -> np.random.Generator:
     """Generator keyed by (seed, keys); independent of generation order."""

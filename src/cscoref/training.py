@@ -10,12 +10,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import blas
 from .cluster import (agglomerative_cluster, check_unit_interval,
                       cut_merge_sequence, merge_sequence)
 from .commonsense import BULK_CHUNK, GenerationConfig, get_inferences
 from .corpus import Clustering, Corpus, CorpusFormatError, candidate_pairs
 from .embed import EmbedderConfig, make_embedder
-from .metrics import EvalOptions, GoldKey, evaluate
+from .metrics import EvalOptions, EvalReport, GoldKey, evaluate
 from .scorer import (BLOCK_ORDER, LOSS_EPS, MODES, TAIL_BLOCKS, ModelDims,
                      ModelParameters, INIT_PIECE, PairDataset, SpanTensors,
                      backward_head, backward_tail, bce_loss, forward_batch,
@@ -249,9 +250,9 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     step waits for the helper before its ``forward_tail``, and the epoch
     before dev scoring; an error in the helper is raised here. No
     element's operations change, so the bytes are those of one thread.
-    They do depend on the BLAS thread count: the pinned desk checkpoints
-    assume ``OPENBLAS_NUM_THREADS=1``, which also leaves a core to the
-    helper.
+    They do depend on the BLAS thread count, so training runs at
+    ``blas.TRAIN_THREADS`` whatever the environment sets, and restores the
+    caller's count on return.
     """
     dev_data = data if dev_data is None else dev_data
     if data.n_pairs == 0:
@@ -278,7 +279,8 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     best_epoch = -1
     stale = 0
     jobs = []  # the helper's jobs not yet waited for
-    with ThreadPoolExecutor(1) as helper:  # exits once the helper is done
+    # the executor exits once the helper is done
+    with blas.threads(blas.TRAIN_THREADS), ThreadPoolExecutor(1) as helper:
         for epoch in range(train_config.epochs):
             order = shuffle_rng.permutation(data.n_pairs)
             losses = []
@@ -354,13 +356,13 @@ def cluster_from_scores(corpus: Corpus, score_lookup: dict, tau: float,
     return Clustering(assignment)
 
 
-def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
-                               grid=DEFAULT_THRESHOLD_GRID,
-                               scope: str = "subtopic",
-                               eval_options: Optional[EvalOptions] = None
-                               ) -> float:
-    """Grid-search tau maximizing CoNLL F1 through the full cluster+evaluate
-    path; ties break toward the larger threshold.
+def best_cut(corpus: Corpus, score_lookup: dict,
+             grid=DEFAULT_THRESHOLD_GRID, scope: str = "subtopic",
+             eval_options: Optional[EvalOptions] = None
+             ) -> tuple[float, Clustering, EvalReport]:
+    """``(tau, clustering, report)`` of the grid value whose clustering has
+    the highest CoNLL F1 through the full cluster+evaluate path; ties break
+    toward the larger threshold. A one-value grid is a fixed tau.
 
     Each scope unit's merge sequence is recorded once and cut at every grid
     value, which gives the clustering ``cluster_from_scores`` returns at
@@ -381,31 +383,21 @@ def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
         assignment = {}
         for ids, steps in sequences:
             assignment.update(cut_merge_sequence(ids, steps, tau).assignment)
-        report = evaluate(corpus, Clustering(assignment), eval_options,
-                          key=gold)
-        rank = (report.conll_f1, tau)
-        if best is None or rank >= best:
-            best = rank
-    return best[1]
+        clustering = Clustering(assignment)
+        report = evaluate(corpus, clustering, eval_options, key=gold)
+        if best is None or (report.conll_f1, tau) >= best[0]:
+            best = (report.conll_f1, tau), clustering, report
+    (_, tau), clustering, report = best
+    return tau, clustering, report
 
 
-def tune_threshold(params: ModelParameters, dev_corpus: Corpus,
-                   grid=DEFAULT_THRESHOLD_GRID, *, dataset: PairDataset,
-                   scope: str = "subtopic",
-                   eval_options: Optional[EvalOptions] = None) -> float:
-    probs = score_dataset(params, dataset)
-    lookup = scores_as_lookup(dataset, probs)
-    return tune_threshold_from_scores(dev_corpus, lookup, grid=grid,
-                                      scope=scope,
-                                      eval_options=eval_options)
-
-
-def predict_clustering(params: ModelParameters, corpus: Corpus,
-                       dataset: PairDataset, tau: float,
-                       scope: str = "subtopic") -> Clustering:
-    probs = score_dataset(params, dataset)
-    lookup = scores_as_lookup(dataset, probs)
-    return cluster_from_scores(corpus, lookup, tau, scope=scope)
+def tune_threshold_from_scores(corpus: Corpus, score_lookup: dict,
+                               grid=DEFAULT_THRESHOLD_GRID,
+                               scope: str = "subtopic",
+                               eval_options: Optional[EvalOptions] = None
+                               ) -> float:
+    """``best_cut``'s tau alone."""
+    return best_cut(corpus, score_lookup, grid, scope, eval_options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +547,8 @@ def gradcheck(mode: str = "intra", seeds=(0, 1, 2, 3, 4), d: int = 16,
 
     Every entry of every block is perturbed, for several random models and
     mini-batches. The first ``training_mode_seeds`` seeds are additionally
-    checked under a fixed dropout mask.
+    checked under a fixed dropout mask. It runs at ``blas.TRAIN_THREADS``,
+    as training does.
     """
     report = GradcheckReport(tolerance=tolerance, seeds=list(seeds))
     dims = ModelDims(d=d, d_len=d_len, d_a=d_a, h=hidden, mode=mode)
@@ -568,9 +561,10 @@ def gradcheck(mode: str = "intra", seeds=(0, 1, 2, 3, 4), d: int = 16,
             runs.append(dict(training=True,
                              dropout_rng=np.random.default_rng(seed + 7)))
         for kwargs in runs:
-            errors, skipped = finite_difference_check(
-                params, data, sel, step=step,
-                _corrupt_block=_corrupt_block, **kwargs)
+            with blas.threads(blas.TRAIN_THREADS):
+                errors, skipped = finite_difference_check(
+                    params, data, sel, step=step,
+                    _corrupt_block=_corrupt_block, **kwargs)
             for name, err in errors.items():
                 report.per_block[name] = max(
                     report.per_block.get(name, 0.0), err)

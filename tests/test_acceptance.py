@@ -22,8 +22,10 @@ from cscoref.pipeline import DESK_SPLIT_SPECS
 from cscoref.scorer import attend, save_checkpoint
 from cscoref.synthgen import (SyntheticProvider, easy_subset_mention_ids,
                               generate_synthetic)
-from cscoref.training import (TrainConfig, build_dataset, gradcheck,
-                              predict_clustering, train, tune_threshold)
+from cscoref.training import (TrainConfig, build_dataset,
+                              cluster_from_scores, gradcheck, score_dataset,
+                              scores_as_lookup, train,
+                              tune_threshold_from_scores)
 
 from oracles import (b_cubed_oracle, ceaf_e_oracle, muc_oracle,
                      random_clustering)
@@ -186,10 +188,11 @@ def separation_sweep():
                                  seed=seed, learning_rate=1e-3)
             params, _ = train(data["train"], EMB, config,
                               dev_data=data["dev"])
-            tau = tune_threshold(params, corpora["dev"],
-                                 dataset=data["dev"])
-            system = predict_clustering(params, corpora["test"],
-                                        data["test"], tau)
+            dev, test = (scores_as_lookup(data[k],
+                                          score_dataset(params, data[k]))
+                         for k in ("dev", "test"))
+            tau = tune_threshold_from_scores(corpora["dev"], dev)
+            system = cluster_from_scores(corpora["test"], test, tau)
             report = evaluate(corpora["test"], system)
             easy = evaluate(corpora["test"], system,
                             mention_subset=easy_subset_mention_ids(

@@ -89,3 +89,45 @@ def test_traced_build_reaches_fetch_and_embedder(monkeypatch):
     assert tracer.counters[("setup", "embed.tokens")] > 0
     assert data.n_pairs > 0
     assert tracer.counters[("setup", "corpus.pairs")] == data.n_pairs
+
+
+def test_traced_train_and_predict_reach_clustering_and_evaluation(
+        monkeypatch, tmp_path, capsys):
+    """A traced ``cmd_train`` then ``cmd_predict`` records spans for
+    ``training.score_dataset``, ``training.cluster_from_scores`` and
+    ``cluster.agglomerative_cluster`` (``predict`` scores and clusters
+    through them) and ``metrics.evaluate`` (both commands), so the
+    benchmark's readings of them on ``desk_train`` and ``service_predict``
+    cannot silently fall to 0."""
+    from dataclasses import replace
+
+    from cscoref import pipeline
+    from cscoref.synthgen import SyntheticSpec
+
+    layers, tracer = _layers_and_tracer(monkeypatch)
+    spec = SyntheticSpec(n_topics=2, clusters_per_topic=2,
+                         mentions_per_cluster=2, seed=5)
+    corpus_path = tmp_path / "corpus.jsonl"
+    fixtures_path = tmp_path / "fixtures.jsonl"
+    pipeline.cmd_synth(spec, corpus_path, fixtures_path)
+    config = pipeline.preset("desk")
+    for split in ("train", "test"):
+        config.corpus_paths[split] = str(corpus_path)
+        config.commonsense.fixtures[split] = str(fixtures_path)
+    config.train = replace(config.train, mode="intra", epochs=2, hidden=8)
+    config.seeds = (0,)
+    layers.install(tracer)
+    try:
+        pipeline.cmd_train(replace(config, out_dir=str(tmp_path / "train")))
+        tracer.run_id = "predict"
+        pipeline.cmd_predict(replace(config, out_dir=str(tmp_path / "pred")),
+                             tmp_path / "train" / "checkpoint_seed0.bin",
+                             "test", 0.5)
+    finally:
+        tracer.unwrap_all()
+    runs = {(span["run"], span["name"]) for span in tracer.spans}
+    assert ("setup", "metrics.evaluate") in runs  # train's dev cut
+    assert ("predict", "metrics.evaluate") in runs
+    assert ("predict", "training.score_dataset") in runs
+    assert ("predict", "training.cluster_from_scores") in runs
+    assert ("predict", "cluster.agglomerative_cluster") in runs

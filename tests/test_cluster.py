@@ -82,7 +82,7 @@ class TestAgglomerative:
                     # higher tau refines lower tau: every current cluster
                     # sits inside one previous cluster
                     for members in current.clusters().values():
-                        containers = {previous.cluster_of(m)
+                        containers = {previous.assignment[m]
                                       for m in members}
                         assert len(containers) == 1
                 previous = current

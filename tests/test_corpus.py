@@ -228,8 +228,8 @@ class TestCandidatePairs:
         labels = pair_labels(tiny_corpus)
         assert len(labels) == 3
         for (first, second), label in labels.items():
-            assert label == int(gold.cluster_of(first)
-                                == gold.cluster_of(second))
+            assert label == int(gold.assignment[first]
+                                == gold.assignment[second])
 
     def test_missing_gold_raises(self):
         docs = [Document("d1", "t0", "s0", [["a", "b"]])]

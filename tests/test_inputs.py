@@ -19,6 +19,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 from unittest import mock
 from urllib.parse import urlsplit
@@ -33,7 +34,7 @@ from cscoref.cluster import write_clustering
 from cscoref.commonsense import (FixtureProvider, GenerationConfig,
                                  GenerationServiceProvider, InferenceCache,
                                  get_inferences)
-from cscoref.corpus import Corpus, Document, Mention, write_corpus
+from cscoref.corpus import Corpus, Document, Mention, json_lines, write_corpus
 from cscoref.scorer import ModelDims, init_parameters, save_checkpoint
 from cscoref.synthgen import SyntheticSpec, generate_synthetic, \
     write_fixtures
@@ -474,6 +475,18 @@ def mutated(draw, base):
     return kind, mutation, b"".join(pieces)
 
 
+def torn_tail(kind, data) -> bool:
+    """Whether ``data``, as a cache or fixture file, ends in a torn line:
+    an unterminated last line that does not parse."""
+    if kind not in ("fixtures", "cache"):
+        return False
+    try:
+        list(json_lines([data.rsplit(b"\n", 1)[-1]], kind, ValueError))
+    except ValueError:
+        return True
+    return False
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=st.data())
 def test_mutated_input_exits_cleanly(base, tmp_path_factory, case):
@@ -481,7 +494,15 @@ def test_mutated_input_exits_cleanly(base, tmp_path_factory, case):
     name, argv, remove = KINDS[kind]
     work = tmp_path_factory.mktemp("work")
     shutil.rmtree(work)
-    code, err = run_cli(base, work, argv, [(name, data)], remove)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli(base, work, argv, [(name, data)], remove)
+    # the one warning a mutated input may raise: the loader skipping a
+    # torn last line, where there is one
+    torn = re.compile(rf"{re.escape(name)}:\d+: skipping a torn last line")
+    messages = [str(w.message) for w in caught]
+    assert all(torn.fullmatch(m) for m in messages), messages
+    assert bool(messages) == torn_tail(kind, data), messages
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

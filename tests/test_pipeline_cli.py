@@ -5,12 +5,12 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from cscoref import cli, pipeline
+from cscoref import cli, cluster, pipeline, training
 from cscoref.cluster import read_clustering, write_clustering
 from cscoref.corpus import Clustering, load_corpus
 from cscoref.commonsense import FixtureProvider, GenerationConfig
@@ -403,6 +403,75 @@ class TestTrainCommand:
             (Path(config.out_dir) / "history_seed0.json").read_text())
         assert 0.0 <= history["tau"] <= 1.0
         assert "history" in history
+
+
+def desk_cut_config(tmp_path, threshold=None):
+    """The desk preset in intra mode, narrowed to hidden 64, batches of 16
+    and 20 epochs at learning rate 1e-2 so that it learns in well under a
+    second, seeds 0 and 1, on seeded 3-topic train and dev splits."""
+    from cscoref.corpus import write_corpus
+    from cscoref.synthgen import write_fixtures
+    config = preset("desk")
+    for split, seed in (("train", 41), ("dev", 42)):
+        corpus, fixtures = generate_synthetic(SyntheticSpec(
+            n_topics=3, clusters_per_topic=3, mentions_per_cluster=3,
+            hard_fraction=0.5, seed=seed))
+        corpus_path = tmp_path / f"{split}.jsonl"
+        fixtures_path = tmp_path / f"{split}.fixtures.jsonl"
+        write_corpus(corpus, corpus_path)
+        write_fixtures(corpus, fixtures, fixtures_path)
+        config.corpus_paths[split] = str(corpus_path)
+        config.commonsense.fixtures[split] = str(fixtures_path)
+    config.train = replace(config.train, mode="intra", epochs=20,
+                           patience=None, hidden=64, batch_size=16,
+                           learning_rate=1e-2)
+    config.seeds = (0, 1)
+    config.threshold = threshold
+    config.out_dir = str(tmp_path / "run")
+    return config
+
+
+class TestTrainCut:
+    """``cmd_train`` takes each seed's tau, dev clustering and report from
+    one ``best_cut``: tuned over the grid, or at the fixed threshold."""
+
+    # sha256 over both seeds' checkpoint and history and the summary, as
+    # written when tuning and the final dev cut were separate passes
+    PINNED = {None: "2826ae0e719d1de06b89de523f2edcf6"
+                    "5520072df51239a143a836396a43a7eb",
+              0.55: "ea08f5636728eb99416a36fe0dd83da2"
+                    "faba782a3685da6b24e9bb668b1de3ea"}
+
+    @pytest.mark.parametrize("threshold", [None, 0.55],
+                             ids=["tuned", "fixed"])
+    def test_outputs_pinned(self, tmp_path, capsys, threshold):
+        config = desk_cut_config(tmp_path, threshold)
+        pipeline.cmd_train(config)
+        out = Path(config.out_dir)
+        digest = hashlib.sha256()
+        for name in ("checkpoint_seed0.bin", "history_seed0.json",
+                     "checkpoint_seed1.bin", "history_seed1.json",
+                     "summary.json"):
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == self.PINNED[threshold]
+
+    @pytest.mark.parametrize("threshold", [None, 0.55],
+                             ids=["tuned", "fixed"])
+    def test_one_merge_sequence_per_dev_unit(self, tmp_path, capsys,
+                                             monkeypatch, threshold):
+        calls = []
+        for module in (training, cluster):  # tuning's binding, and the one
+            original = module.merge_sequence  # agglomerative_cluster reads
+
+            def counted(ids, scores, original=original):
+                calls.append(len(ids))
+                return original(ids, scores)
+            monkeypatch.setattr(module, "merge_sequence", counted)
+        config = desk_cut_config(tmp_path, threshold)
+        pipeline.cmd_train(config)
+        units = load_corpus(config.corpus_paths["dev"]).units(
+            config.cluster_scope)
+        assert len(calls) == len(config.seeds) * len(units)
 
 
 class TestPredictAndScore:
@@ -809,18 +878,22 @@ class TestRuntimeFailures:
             "message": "non-finite training loss at epoch 0"}
 
     def test_config_error_inside_run_marks_failed(self, tmp_path, capsys):
+        """A checkpoint whose dims differ from the config is found once
+        the run directory is open: the run is marked failed."""
         config, _ = small_run_config(tmp_path)
         pipeline.cmd_train(config)
         out = tmp_path / "pred"
-        code = cli.main(["predict", "--config",
-                         str(cli_ini(tmp_path, config, out)),
+        ini = cli_ini(tmp_path, config, out)
+        ini.write_text(ini.read_text().replace("hidden = 16", "hidden = 32"))
+        code = cli.main(["predict", "--config", str(ini), "--tau", "0.5",
                          "--checkpoint",
                          str(Path(config.out_dir) / "checkpoint_seed0.bin")])
         assert code == pipeline.EXIT_USAGE
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]["type"] == "ConfigError"
-        assert "threshold" in manifest["error"]["message"]
+        assert "[train] hidden = 32 but the checkpoint's h = 16" \
+            in manifest["error"]["message"]
 
 
 class TestScopeChecks:
@@ -956,6 +1029,21 @@ class TestThresholdCheck:
                          str(Path(config.out_dir) / "checkpoint_seed0.bin")])
         assert code == pipeline.EXIT_USAGE
         assert "outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_without_threshold_rejects_before_work(self, tmp_path,
+                                                           capsys):
+        """No ``--tau`` and no ``[cluster] threshold``: a usage error before
+        the run directory opens, so no checkpoint is read and no dataset
+        built (with the service embedder, no request is sent)."""
+        config, _ = small_run_config(tmp_path)
+        out = tmp_path / "pred"
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(tmp_path / "absent.bin")])
+        assert code == pipeline.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: no threshold: pass --tau or set [cluster] threshold\n")
         assert not out.exists()
 
 

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from cscoref.scorer import (BLOCK_ORDER, ModelDims, ModelParameters,
                             NonFiniteParameterError, ScorerError, attend,
                             backward_batch, backward_head, backward_tail,
-                            batch_loss, batch_loss_from_dataset,
-                            commonsense_vector, forward_batch, forward_head,
-                            forward_tail, gradients, init_parameters,
-                            load_checkpoint, pair_features, save_checkpoint,
-                            score_pair, segment_sum)
+                            bce_loss, commonsense_vector, forward_batch,
+                            forward_head, forward_tail, gradients,
+                            init_parameters, load_checkpoint, pair_features,
+                            save_checkpoint, score_pair, segment_sum)
 from cscoref.training import make_random_dataset
 
 
@@ -186,16 +185,6 @@ class TestScorePair:
         g = rng.standard_normal(dims.g_dim)
         assert score_pair(params, g) == score_pair(params, g)
 
-    def test_training_needs_rng_and_uses_dropout(self, params, dims, rng):
-        g = rng.standard_normal(dims.g_dim)
-        with pytest.raises(ValueError):
-            score_pair(params, g, training=True)
-        a = score_pair(params, g, training=True,
-                       rng=np.random.default_rng(0))
-        b = score_pair(params, g, training=True,
-                       rng=np.random.default_rng(0))
-        assert a == b  # same mask stream
-
     def test_monotone_in_bias(self, params, dims, rng):
         g = rng.standard_normal(dims.g_dim)
         lo = score_pair(params, g)
@@ -225,34 +214,27 @@ class TestScorePair:
 
 
 class TestBatchLoss:
-    def test_half_probability_gives_ln2(self, dims, params):
-        for name in ("W1", "b1", "W2", "b2"):
-            getattr(params, name)[...] = 0.0
-        batch = [(np.ones(dims.g_dim), 1), (np.ones(dims.g_dim), 0)]
-        assert batch_loss(params, batch) == pytest.approx(np.log(2.0),
-                                                          abs=1e-12)
+    """``bce_loss``, the mean clamped cross-entropy of a batch."""
 
-    def test_confident_correct_is_tiny(self, dims, params):
-        # drive p to the clamp: loss <= -ln(1 - 1e-7)
-        for name in ("W1", "b1", "W2"):
-            getattr(params, name)[...] = 0.0
-        params.b2[...] = 50.0
-        batch = [(np.ones(dims.g_dim), 1)]
-        assert batch_loss(params, batch) <= -np.log(1.0 - 1e-7) + 1e-15
+    def test_half_probability_gives_ln2(self):
+        assert bce_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])) \
+            == pytest.approx(np.log(2.0), abs=1e-12)
 
-    def test_hand_arithmetic_point_nine(self, dims, params):
-        for name in ("W1", "b1", "W2"):
-            getattr(params, name)[...] = 0.0
-        params.b2[...] = np.log(9.0)  # sigmoid -> 0.9
-        batch = [(np.ones(dims.g_dim), 1), (np.ones(dims.g_dim), 0)]
+    def test_confident_correct_is_tiny(self):
+        # p at or past the clamp: loss <= -ln(1 - 1e-7)
+        for p in (1.0 - 1e-9, 1.0):
+            assert bce_loss(np.array([p]), np.array([1.0])) \
+                <= -np.log(1.0 - 1e-7) + 1e-15
+
+    def test_hand_arithmetic_point_nine(self):
         expected = (-np.log(0.9) - np.log(0.1)) / 2
-        assert batch_loss(params, batch) == pytest.approx(expected,
-                                                          abs=1e-12)
+        assert bce_loss(np.array([0.9, 0.9]), np.array([1.0, 0.0])) \
+            == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.2040, abs=1e-4)
 
-    def test_empty_batch_rejected(self, params):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            batch_loss(params, [])
+            bce_loss(np.array([]), np.array([]))
 
 
 class TestGradients:
@@ -353,12 +335,13 @@ class TestGradients:
                                 + (want.flat + 0.0).tobytes()).hexdigest()
         assert digest == self.PINNED_STAGES[mode, masked]
 
-    def test_loss_matches_batch_loss_from_dataset(self, dims, params):
+    def test_loss_matches_bce_of_forward_batch(self, dims, params):
         data = make_random_dataset(dims, 5, n_pairs=6)
         sel = np.arange(6)
         loss, _ = gradients(params, data, sel)
-        assert loss == pytest.approx(
-            batch_loss_from_dataset(params, data, sel), abs=1e-15)
+        probs, _ = forward_batch(params, data, sel)
+        assert loss == pytest.approx(bce_loss(probs, data.labels[sel]),
+                                     abs=1e-15)
 
 
 def composed_probabilities(params, data, sel):

@@ -19,11 +19,11 @@ from cscoref.synthgen import SyntheticProvider, SyntheticSpec, \
     generate_synthetic
 from cscoref import training
 from cscoref.cluster import merge_sequence
-from cscoref.metrics import evaluate
-from cscoref.training import (Adam, TrainConfig, build_dataset,
+from cscoref.metrics import EvalOptions, evaluate
+from cscoref.training import (Adam, TrainConfig, best_cut, build_dataset,
                               cluster_from_scores, gradcheck,
                               make_random_dataset, pairwise_f1,
-                              score_dataset, train,
+                              score_dataset, scores_as_lookup, train,
                               tune_threshold_from_scores,
                               DEFAULT_THRESHOLD_GRID)
 
@@ -490,7 +490,7 @@ class TestThreshold:
         for a in "abcd":
             for b in "abcd":
                 if a < b:
-                    same = gold.cluster_of(a) == gold.cluster_of(b)
+                    same = gold.assignment[a] == gold.assignment[b]
                     lookup[(a, b)] = hi if same else lo
         return corpus, lookup
 
@@ -605,6 +605,46 @@ class TestTuneOnMergeSequences:
         assert len(keys) == len(DEFAULT_THRESHOLD_GRID)
         assert all(key is keys[0] for key in keys)
 
+    @pytest.mark.parametrize("scope", ["subtopic", "topic", "corpus"])
+    def test_best_cut_is_the_clustering_at_its_tau(self, rng, scope):
+        for _ in range(30):
+            corpus, lookup = random_corpus(rng)
+            tau, clustering, report = best_cut(corpus, lookup, scope=scope)
+            assert tau == tune_threshold_from_scores(corpus, lookup,
+                                                     scope=scope)
+            system = cluster_from_scores(corpus, lookup, tau, scope=scope)
+            assert clustering.assignment == system.assignment
+            assert report.to_dict() == evaluate(corpus, system).to_dict()
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_best_cut_of_trained_scores(self, mode):
+        """On dev scores of a briefly trained model, in each mode, scope
+        and evaluation unit, the cut ``cmd_train`` keeps is what
+        clustering at its tau and evaluating gives."""
+        specs = {split: SyntheticSpec(n_topics=3, clusters_per_topic=3,
+                                      mentions_per_cluster=3,
+                                      hard_fraction=0.5, seed=seed)
+                 for split, seed in (("train", 41), ("dev", 42))}
+        corpora = {k: generate_synthetic(s)[0] for k, s in specs.items()}
+        data = {k: build_dataset(corpora[k], EMB, mode,
+                                 inference_source=SyntheticProvider(s))
+                for k, s in specs.items()}
+        params, _ = train(data["train"], EMB, TrainConfig(
+            mode=mode, epochs=10, patience=None, hidden=32, d_a=2,
+            batch_size=16, learning_rate=1e-2), dev_data=data["dev"])
+        lookup = scores_as_lookup(data["dev"],
+                                  score_dataset(params, data["dev"]))
+        for scope in ("subtopic", "topic"):
+            for options in (EvalOptions(), EvalOptions(unit="topic")):
+                tau, clustering, report = best_cut(
+                    corpora["dev"], lookup, scope=scope,
+                    eval_options=options)
+                system = cluster_from_scores(corpora["dev"], lookup, tau,
+                                             scope=scope)
+                assert clustering.assignment == system.assignment
+                assert report.to_dict() == evaluate(
+                    corpora["dev"], system, options).to_dict()
+
     @pytest.mark.parametrize("grid", [[0.4, 1.5], [-0.1], [float("nan")]])
     def test_grid_value_outside_unit_interval_rejected(self, grid):
         corpus, lookup = TestThreshold().lookup()
@@ -671,8 +711,12 @@ class TestGradcheckHarness:
         params = init_parameters(dims, 0)
         data = make_random_dataset(dims, 1, n_pairs=4)
         sel = np.arange(4)
-        from cscoref.scorer import batch_loss_from_dataset, gradients
+        from cscoref.scorer import bce_loss, forward_batch, gradients
         loss, grads = gradients(params, data, sel)
+
+        def batch_loss():
+            return bce_loss(forward_batch(params, data, sel)[0],
+                            data.labels[sel])
         step = 1e-5
         for name in ("W1", "b1", "W2"):
             arr = getattr(params, name)
@@ -681,9 +725,9 @@ class TestGradcheckHarness:
             for idx in rng.integers(0, flat.size, size=30):
                 orig = flat[idx]
                 flat[idx] = orig + step
-                up = batch_loss_from_dataset(params, data, sel)
+                up = batch_loss()
                 flat[idx] = orig - step
-                down = batch_loss_from_dataset(params, data, sel)
+                down = batch_loss()
                 flat[idx] = orig
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(numeric), abs(g[idx]), 1e-6)
