@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
@@ -30,8 +31,8 @@ from .corpus import (SCOPES, Corpus, CorpusFormatError, check_record,
                      write_corpus)
 from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, GoldKey, evaluate
-from .scorer import (ModelParameters, forward_batch, load_checkpoint,
-                     save_checkpoint)
+from .scorer import (ModelDims, ModelParameters, checkpoint_dims,
+                     forward_batch, load_checkpoint, save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
 from .training import (DEFAULT_THRESHOLD_GRID, TrainConfig, best_cut,
@@ -489,21 +490,21 @@ def _dataset_for(config: RunConfig, corpus: Corpus, split: str, mode: str,
                          labeled=labeled)
 
 
-def _load_checked_checkpoint(config: RunConfig,
-                             checkpoint_path) -> ModelParameters:
-    """Load a checkpoint whose dims match the config in its own mode."""
-    params = load_checkpoint(checkpoint_path)
+def _checked_checkpoint_dims(config: RunConfig,
+                             checkpoint_path) -> ModelDims:
+    """The dims of a checkpoint, from its header alone, when they match the
+    config in the checkpoint's mode."""
+    dims = checkpoint_dims(checkpoint_path)
     expected = replace(config.train.model_dims(config.embedder),
-                       mode=params.dims.mode)
-    if params.dims != expected:
+                       mode=dims.mode)
+    if dims != expected:
         differ = [f"{_DIM_KEYS.get(name, name)} = {getattr(expected, name)}"
-                  f" but the checkpoint's {name} = "
-                  f"{getattr(params.dims, name)}"
+                  f" but the checkpoint's {name} = {getattr(dims, name)}"
                   for name in asdict(expected)
-                  if getattr(expected, name) != getattr(params.dims, name)]
+                  if getattr(expected, name) != getattr(dims, name)]
         raise ConfigError(f"{checkpoint_path}: checkpoint dims do not match "
                           f"config: {'; '.join(differ)}")
-    return params
+    return dims
 
 
 # the config key that sets each ModelDims field other than mode and version
@@ -574,14 +575,24 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
         raise ConfigError("no threshold: pass --tau or set [cluster] "
                           "threshold")
     check_unit_interval("threshold", tau)
-    with run_dir(config, "predict") as out:
+    # the helper reads the checkpoint's blocks while this thread builds the
+    # split, then takes one product of each pair in scoring; at one BLAS
+    # thread each, the probabilities do not depend on the environment
+    with run_dir(config, "predict", blas=blas.describe()) as out, \
+            blas.threads(blas.TRAIN_THREADS), ThreadPoolExecutor(1) as helper:
         corpus = load_corpus(config.corpus_paths[split])
-        params = _load_checked_checkpoint(config, checkpoint_path)
-        mode = params.dims.mode
-        data = _dataset_for(config, corpus, split, mode,
-                            default_strict=False)
+        mode = _checked_checkpoint_dims(config, checkpoint_path).mode
+        loading = helper.submit(load_checkpoint, checkpoint_path)
+        try:
+            data = _dataset_for(config, corpus, split, mode,
+                                default_strict=False)
+        except BaseException:
+            loading.result()  # a checkpoint error first, as read first
+            raise
+        params = loading.result()
         # looked up on the module, where the benchmark's tracer wraps them
-        lookup = scores_as_lookup(data, training.score_dataset(params, data))
+        lookup = scores_as_lookup(
+            data, training.score_dataset(params, data, helper))
         system = training.cluster_from_scores(corpus, lookup, tau,
                                               scope=config.cluster_scope)
         clustering_path = os.path.join(out, f"clustering_{split}.jsonl")
@@ -698,9 +709,11 @@ def cmd_explain(config: RunConfig, checkpoint_path, first_id: str,
                 out_path=None) -> int:
     _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
-    params = _load_checked_checkpoint(config, checkpoint_path)
-    trace = explain_pair(params, corpus, config, first_id, second_id,
-                         split=split)
+    _checked_checkpoint_dims(config, checkpoint_path)
+    params = load_checkpoint(checkpoint_path)
+    with blas.threads(blas.TRAIN_THREADS):  # as predict scores
+        trace = explain_pair(params, corpus, config, first_id, second_id,
+                             split=split)
     text = trace.render()
     print(text)
     if out_path:

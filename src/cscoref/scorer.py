@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,6 +62,12 @@ LOSS_EPS = 1e-7
 # pairs per hidden-layer block in score_dataset: a (64, h) block stays in
 # cache and reuses freed memory; a (pairs, h) array faults in fresh pages
 PAIR_BLOCK = 64
+# attention rows x rep_dim x h, the first layer's multiply-adds per row
+# block, from which score_dataset runs its paired steps one per thread. At
+# one BLAS thread: 16 desk mentions (1.1M) lost 3% on two threads, the desk
+# dev split (4.5M) gained within noise, and 4 mentions at service dims
+# (12.7M) went from 34 to 21 ms
+HELPER_MIN_MACS = 8_000_000
 # doubles per piece of a pass over the parameter vector (256 KB, in cache):
 # init_parameters draws and scales a piece at a time, Adam steps one
 INIT_PIECE = 1 << 15
@@ -594,7 +601,8 @@ def forward_batch(params: ModelParameters, data: PairDataset,
     return probs, cache
 
 
-def score_dataset(params: ModelParameters, data: PairDataset) -> np.ndarray:
+def score_dataset(params: ModelParameters, data: PairDataset,
+                  executor: Optional[Executor] = None) -> np.ndarray:
     """Every pair's ``forward_batch(training=False)`` probability, up to
     rounding, in every mode, attending through ``query_side_attention``.
 
@@ -602,28 +610,44 @@ def score_dataset(params: ModelParameters, data: PairDataset) -> np.ndarray:
     row and one of its second. ctx is projected once per query mention, a
     row's cs only through the block of the side whose pairs use it (intra
     rows are mentions, used on both sides; inter rows are ordered pairs).
+
+    Three pairs of steps are independent: the two ctx projections, the two
+    relations' attention and the two sides' cs projections. Given an
+    ``executor`` (one helper thread) and at least ``HELPER_MIN_MACS`` of
+    work, the second step of each pair runs on it. No product is split, so
+    the probabilities are those of one thread.
     """
     n, r, W1 = data.n_pairs, params.dims.rep_dim, params.W1
     if n == 0:
         return np.zeros(0)
     rows = attention_rows(params, data, data.pair_i, data.pair_j)
+    if len(rows["att_q"]) * r * params.dims.h < HELPER_MIN_MACS:
+        executor = None
     queries, query_of = np.unique(rows["att_q"], return_inverse=True)
     Q = rows["span_reps"][queries]  # row b's query is Q[query_of[b]]
-    ctx = [Q @ W1[:r], Q @ W1[r:2 * r]]
+    ctx = _paired(executor, lambda side: Q @ W1[side * r:(side + 1) * r])
     ctx[0] += params.b1
     # per side: (term per row, each pair's row); baseline rows are queries
     sides = [(ctx[0], rows["inverse"][:n]), (ctx[1], rows["inverse"][n:])]
     if rows["att"] is not None:
-        cs = np.concatenate([query_side_attention(
-            Q, query_of, rows["sent_reps"][att["idx"].clip(min=0)],
-            att["kmask"], getattr(params, f"W_q_{rel}"),
-            getattr(params, f"W_k_{rel}"))
-            for rel, att in rows["att"].items()], axis=1)
-        for side in (0, 1):
+        def attend(part):
+            rel = ("before", "after")[part]
+            att = rows["att"][rel]
+            return query_side_attention(
+                Q, query_of, rows["sent_reps"][att["idx"].clip(min=0)],
+                att["kmask"], getattr(params, f"W_q_{rel}"),
+                getattr(params, f"W_k_{rel}"))
+
+        cs = np.concatenate(_paired(executor, attend), axis=1)
+
+        def project(side):
             used, of_pair = np.unique(sides[side][1], return_inverse=True)
-            term = cs[used] @ W1[(2 + 2 * side) * r:(4 + 2 * side) * r]
+            term = _take_rows(cs, used) \
+                @ W1[(2 + 2 * side) * r:(4 + 2 * side) * r]
             term += ctx[side][query_of[used]]
-            sides[side] = (term, of_pair)
+            return term, of_pair
+
+        sides = _paired(executor, project)
     (first, first_of), (second, second_of) = sides
     logits = np.empty(n)
     for lo in range(0, n, PAIR_BLOCK):
@@ -632,6 +656,27 @@ def score_dataset(params: ModelParameters, data: PairDataset) -> np.ndarray:
         z1 += second[second_of[lo:hi]]
         logits[lo:hi] = np.maximum(z1, 0.0, out=z1) @ params.W2
     return sigmoid(logits + params.b2)
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a[rows]`` for sorted distinct ``rows``: a view, not a copy, when
+    they are one contiguous run, as each side's rows of an intra unit are."""
+    lo, hi = rows[0], rows[-1] + 1
+    return a[lo:hi] if hi - lo == len(rows) else a[rows]
+
+
+def _paired(executor: Optional[Executor], step) -> list:
+    """``[step(0), step(1)]``, with ``step(1)`` on ``executor`` when there
+    is one; its error is raised here."""
+    if executor is None:
+        return [step(0), step(1)]
+    job = executor.submit(step, 1)
+    try:
+        first = step(0)
+    except BaseException:
+        wait((job,))  # the helper is done with this call's arrays
+        raise
+    return [first, job.result()]
 
 
 def backward_tail(params: ModelParameters, cache, labels: np.ndarray,
@@ -765,39 +810,61 @@ _BLOCK_FIELDS = {"name": str, "shape": list}
 
 
 def load_checkpoint(path) -> ModelParameters:
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read a checkpoint written by ``save_checkpoint``: its header, then
+    its body.
 
     A missing file raises ``FileNotFoundError``; a file that cannot be
     read otherwise (a directory, no permission), is not a checkpoint, or
     is truncated or corrupt raises ``ScorerError`` naming the path.
     """
     with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise ScorerError(f"{path}: not a checkpoint file")
-        header = _checkpoint_line(fh, path, 2, "checkpoint header",
-                                  _HEADER_FIELDS)
-        try:  # a mode or a size the model cannot take
-            params = ModelParameters(ModelDims(**header))
-        except ValueError as exc:
-            raise ScorerError(f"{path}:2: {exc}") from exc
-        for lineno, (name, arr) in enumerate(params.items(), start=3):
-            meta = _checkpoint_line(fh, path, lineno, "checkpoint block line",
-                                    _BLOCK_FIELDS)
-            if meta["name"] != name:
-                raise ScorerError(
-                    f"{path}:{lineno}: checkpoint block order mismatch: "
-                    f"expected {name}, found {meta['name']}")
-            shape = tuple(meta["shape"])
-            if shape != arr.shape:
-                raise ScorerError(
-                    f"{path}:{lineno}: checkpoint block {name} has shape "
-                    f"{shape}, expected {arr.shape}")
-            if fh.readinto(arr) != arr.nbytes:  # straight into the view
-                raise ScorerError(
-                    f"{path}: checkpoint truncated in block {name}")
-        if fh.read(1):
-            raise ScorerError(f"{path}: bytes after the last block")
+        return _read_checkpoint_body(fh, path,
+                                     _read_checkpoint_header(fh, path))
+
+
+def checkpoint_dims(path) -> ModelDims:
+    """The dims of the checkpoint at ``path``, from its header alone, with
+    ``load_checkpoint``'s errors; the blocks are not read."""
+    with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
+        return _read_checkpoint_header(fh, path)
+
+
+def _read_checkpoint_header(fh, path) -> ModelDims:
+    """The magic and the header line (lines 1 and 2) of ``fh``."""
+    magic = fh.read(len(CKPT_MAGIC))
+    if magic != CKPT_MAGIC:
+        raise ScorerError(f"{path}: not a checkpoint file")
+    header = _checkpoint_line(fh, path, 2, "checkpoint header",
+                              _HEADER_FIELDS)
+    try:  # a mode the model cannot take
+        return ModelDims(**header)
+    except ValueError as exc:
+        raise ScorerError(f"{path}:2: {exc}") from exc
+
+
+def _read_checkpoint_body(fh, path, dims: ModelDims) -> ModelParameters:
+    """The block lines and arrays after the header, to the end of ``fh``."""
+    try:  # a size the model cannot take
+        params = ModelParameters(dims)
+    except ValueError as exc:
+        raise ScorerError(f"{path}:2: {exc}") from exc
+    for lineno, (name, arr) in enumerate(params.items(), start=3):
+        meta = _checkpoint_line(fh, path, lineno, "checkpoint block line",
+                                _BLOCK_FIELDS)
+        if meta["name"] != name:
+            raise ScorerError(
+                f"{path}:{lineno}: checkpoint block order mismatch: "
+                f"expected {name}, found {meta['name']}")
+        shape = tuple(meta["shape"])
+        if shape != arr.shape:
+            raise ScorerError(
+                f"{path}:{lineno}: checkpoint block {name} has shape "
+                f"{shape}, expected {arr.shape}")
+        if fh.readinto(arr) != arr.nbytes:  # straight into the view
+            raise ScorerError(
+                f"{path}: checkpoint truncated in block {name}")
+    if fh.read(1):
+        raise ScorerError(f"{path}: bytes after the last block")
     return params
 
 

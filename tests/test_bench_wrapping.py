@@ -96,7 +96,8 @@ def test_traced_train_and_predict_reach_clustering_and_evaluation(
     """A traced ``cmd_train`` then ``cmd_predict`` records spans for
     ``training.score_dataset``, ``training.cluster_from_scores`` and
     ``cluster.agglomerative_cluster`` (``predict`` scores and clusters
-    through them) and ``metrics.evaluate`` (both commands), so the
+    through them), ``metrics.evaluate`` (both commands) and
+    ``scorer.checkpoint_io`` (``predict``'s load), so the
     benchmark's readings of them on ``desk_train`` and ``service_predict``
     cannot silently fall to 0."""
     from dataclasses import replace
@@ -131,3 +132,5 @@ def test_traced_train_and_predict_reach_clustering_and_evaluation(
     assert ("predict", "training.score_dataset") in runs
     assert ("predict", "training.cluster_from_scores") in runs
     assert ("predict", "cluster.agglomerative_cluster") in runs
+    # predict loads the checkpoint on its helper thread
+    assert ("predict", "scorer.checkpoint_io") in runs

@@ -823,6 +823,38 @@ class TestRuntimeFailures:
         assert manifest["error"]["type"] == "ScorerError"
         assert "checkpoint" in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("build_fails", [False, True])
+    def test_checkpoint_truncated_in_w1_exits_three_run_failed(
+            self, tmp_path, capsys, monkeypatch, build_fails):
+        """The helper reads the blocks while the split is built. A body
+        cut short inside W1 is the same error as on one thread, also when
+        the build fails too, and no thread outlives the call."""
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        blob = (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes()
+        w1_line = blob.index(b'{"name": "W1"')
+        ckpt = tmp_path / "short.bin"
+        ckpt.write_bytes(blob[:blob.index(b"\n", w1_line) + 1 + 8])
+        if build_fails:
+            def broken_build(*args, **kwargs):
+                raise ConfigError("the build failed too")
+
+            monkeypatch.setattr(pipeline, "build_dataset", broken_build)
+        out = tmp_path / "pred"
+        ini = cli_ini(tmp_path, config, out)
+        capsys.readouterr()
+        threads = threading.active_count()
+        code = cli.main(["predict", "--config", str(ini),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert threading.active_count() == threads
+        assert code == pipeline.EXIT_RUNTIME
+        message = f"{ckpt}: checkpoint truncated in block W1"
+        assert capsys.readouterr().err == f"error: ScorerError: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"type": "ScorerError",
+                                     "message": message}
+
     def test_checkpoint_that_is_a_directory_exits_three_run_failed(
             self, tmp_path, capsys):
         config, _ = small_run_config(tmp_path)
@@ -877,11 +909,18 @@ class TestRuntimeFailures:
             "type": "FloatingPointError",
             "message": "non-finite training loss at epoch 0"}
 
-    def test_config_error_inside_run_marks_failed(self, tmp_path, capsys):
+    def test_config_error_inside_run_marks_failed(self, tmp_path, capsys,
+                                                  monkeypatch):
         """A checkpoint whose dims differ from the config is found once
-        the run directory is open: the run is marked failed."""
+        the run directory is open, from its header and before the split is
+        built: the run is marked failed."""
         config, _ = small_run_config(tmp_path)
         pipeline.cmd_train(config)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a split for a mismatched checkpoint")
+
+        monkeypatch.setattr(pipeline, "build_dataset", no_build)
         out = tmp_path / "pred"
         ini = cli_ini(tmp_path, config, out)
         ini.write_text(ini.read_text().replace("hidden = 16", "hidden = 32"))
