@@ -31,7 +31,7 @@ from .corpus import (SCOPES, Corpus, CorpusFormatError, check_record,
                      write_corpus)
 from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, GoldKey, evaluate
-from .scorer import (ModelDims, ModelParameters, checkpoint_dims,
+from .scorer import (ModelDims, ModelParameters, checkpoint_shell,
                      forward_batch, load_checkpoint, save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
@@ -490,11 +490,9 @@ def _dataset_for(config: RunConfig, corpus: Corpus, split: str, mode: str,
                          labeled=labeled)
 
 
-def _checked_checkpoint_dims(config: RunConfig,
-                             checkpoint_path) -> ModelDims:
-    """The dims of a checkpoint, from its header alone, when they match the
-    config in the checkpoint's mode."""
-    dims = checkpoint_dims(checkpoint_path)
+def _check_dims(config: RunConfig, checkpoint_path, dims: ModelDims):
+    """Raise ``ConfigError`` unless a checkpoint's ``dims`` match the config
+    in the checkpoint's mode."""
     expected = replace(config.train.model_dims(config.embedder),
                        mode=dims.mode)
     if dims != expected:
@@ -504,7 +502,6 @@ def _checked_checkpoint_dims(config: RunConfig,
                   if getattr(expected, name) != getattr(dims, name)]
         raise ConfigError(f"{checkpoint_path}: checkpoint dims do not match "
                           f"config: {'; '.join(differ)}")
-    return dims
 
 
 # the config key that sets each ModelDims field other than mode and version
@@ -581,10 +578,13 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
     with run_dir(config, "predict", blas=blas.describe()) as out, \
             blas.threads(blas.TRAIN_THREADS), ThreadPoolExecutor(1) as helper:
         corpus = load_corpus(config.corpus_paths[split])
-        mode = _checked_checkpoint_dims(config, checkpoint_path).mode
-        loading = helper.submit(load_checkpoint, checkpoint_path)
+        # allocated on this thread: from the helper's malloc arena the
+        # freed vector would stay resident; the helper only fills it
+        shell = checkpoint_shell(checkpoint_path)
+        _check_dims(config, checkpoint_path, shell.dims)
+        loading = helper.submit(load_checkpoint, checkpoint_path, shell)
         try:
-            data = _dataset_for(config, corpus, split, mode,
+            data = _dataset_for(config, corpus, split, shell.dims.mode,
                                 default_strict=False)
         except BaseException:
             loading.result()  # a checkpoint error first, as read first
@@ -599,7 +599,7 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
         write_clustering(system, clustering_path, metadata={
             "tau": tau, "linkage": "average", "scope": config.cluster_scope,
             "checkpoint": os.path.basename(str(checkpoint_path)),
-            "mode": mode})
+            "mode": params.dims.mode})
         report = evaluate(corpus, system, config.eval_options)
         _write_report(report, out, split)
         print(report.render_table())
@@ -709,8 +709,8 @@ def cmd_explain(config: RunConfig, checkpoint_path, first_id: str,
                 out_path=None) -> int:
     _require_paths(config, [split])
     corpus = load_corpus(config.corpus_paths[split])
-    _checked_checkpoint_dims(config, checkpoint_path)
     params = load_checkpoint(checkpoint_path)
+    _check_dims(config, checkpoint_path, params.dims)
     with blas.threads(blas.TRAIN_THREADS):  # as predict scores
         trace = explain_pair(params, corpus, config, first_id, second_id,
                              split=split)

@@ -62,12 +62,6 @@ LOSS_EPS = 1e-7
 # pairs per hidden-layer block in score_dataset: a (64, h) block stays in
 # cache and reuses freed memory; a (pairs, h) array faults in fresh pages
 PAIR_BLOCK = 64
-# attention rows x rep_dim x h, the first layer's multiply-adds per row
-# block, from which score_dataset runs its paired steps one per thread. At
-# one BLAS thread: 16 desk mentions (1.1M) lost 3% on two threads, the desk
-# dev split (4.5M) gained within noise, and 4 mentions at service dims
-# (12.7M) went from 34 to 21 ms
-HELPER_MIN_MACS = 8_000_000
 # doubles per piece of a pass over the parameter vector (256 KB, in cache):
 # init_parameters draws and scales a piece at a time, Adam steps one
 INIT_PIECE = 1 << 15
@@ -613,16 +607,13 @@ def score_dataset(params: ModelParameters, data: PairDataset,
 
     Three pairs of steps are independent: the two ctx projections, the two
     relations' attention and the two sides' cs projections. Given an
-    ``executor`` (one helper thread) and at least ``HELPER_MIN_MACS`` of
-    work, the second step of each pair runs on it. No product is split, so
-    the probabilities are those of one thread.
+    ``executor`` (one helper thread), the second step of each pair runs on
+    it. No product is split, so the probabilities are those of one thread.
     """
     n, r, W1 = data.n_pairs, params.dims.rep_dim, params.W1
     if n == 0:
         return np.zeros(0)
     rows = attention_rows(params, data, data.pair_i, data.pair_j)
-    if len(rows["att_q"]) * r * params.dims.h < HELPER_MIN_MACS:
-        executor = None
     queries, query_of = np.unique(rows["att_q"], return_inverse=True)
     Q = rows["span_reps"][queries]  # row b's query is Q[query_of[b]]
     ctx = _paired(executor, lambda side: Q @ W1[side * r:(side + 1) * r])
@@ -642,8 +633,7 @@ def score_dataset(params: ModelParameters, data: PairDataset,
 
         def project(side):
             used, of_pair = np.unique(sides[side][1], return_inverse=True)
-            term = _take_rows(cs, used) \
-                @ W1[(2 + 2 * side) * r:(4 + 2 * side) * r]
+            term = cs[used] @ W1[(2 + 2 * side) * r:(4 + 2 * side) * r]
             term += ctx[side][query_of[used]]
             return term, of_pair
 
@@ -656,13 +646,6 @@ def score_dataset(params: ModelParameters, data: PairDataset,
         z1 += second[second_of[lo:hi]]
         logits[lo:hi] = np.maximum(z1, 0.0, out=z1) @ params.W2
     return sigmoid(logits + params.b2)
-
-
-def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``a[rows]`` for sorted distinct ``rows``: a view, not a copy, when
-    they are one contiguous run, as each side's rows of an intra unit are."""
-    lo, hi = rows[0], rows[-1] + 1
-    return a[lo:hi] if hi - lo == len(rows) else a[rows]
 
 
 def _paired(executor: Optional[Executor], step) -> list:
@@ -809,24 +792,32 @@ _HEADER_FIELDS = {"version": int, "d": int, "d_len": int, "d_a": int,
 _BLOCK_FIELDS = {"name": str, "shape": list}
 
 
-def load_checkpoint(path) -> ModelParameters:
+def load_checkpoint(path, into: Optional[ModelParameters] = None
+                    ) -> ModelParameters:
     """Read a checkpoint written by ``save_checkpoint``: its header, then
-    its body.
+    its body, into ``into`` when given (``checkpoint_shell``'s parameters
+    of the same path) and into fresh parameters otherwise.
 
     A missing file raises ``FileNotFoundError``; a file that cannot be
     read otherwise (a directory, no permission), is not a checkpoint, or
-    is truncated or corrupt raises ``ScorerError`` naming the path.
+    is truncated or corrupt, or whose header no longer matches ``into``,
+    raises ``ScorerError`` naming the path.
     """
     with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
-        return _read_checkpoint_body(fh, path,
-                                     _read_checkpoint_header(fh, path))
+        dims = _read_checkpoint_header(fh, path)
+        if into is None:
+            into = _zeroed_parameters(path, dims)
+        elif into.dims != dims:
+            raise ScorerError(f"{path}: checkpoint changed while it was "
+                              f"read")
+        return _read_checkpoint_body(fh, path, into)
 
 
-def checkpoint_dims(path) -> ModelDims:
-    """The dims of the checkpoint at ``path``, from its header alone, with
+def checkpoint_shell(path) -> ModelParameters:
+    """Zeroed parameters of the dims in the checkpoint's header, with
     ``load_checkpoint``'s errors; the blocks are not read."""
     with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
-        return _read_checkpoint_header(fh, path)
+        return _zeroed_parameters(path, _read_checkpoint_header(fh, path))
 
 
 def _read_checkpoint_header(fh, path) -> ModelDims:
@@ -842,12 +833,17 @@ def _read_checkpoint_header(fh, path) -> ModelDims:
         raise ScorerError(f"{path}:2: {exc}") from exc
 
 
-def _read_checkpoint_body(fh, path, dims: ModelDims) -> ModelParameters:
-    """The block lines and arrays after the header, to the end of ``fh``."""
+def _zeroed_parameters(path, dims: ModelDims) -> ModelParameters:
     try:  # a size the model cannot take
-        params = ModelParameters(dims)
+        return ModelParameters(dims)
     except ValueError as exc:
         raise ScorerError(f"{path}:2: {exc}") from exc
+
+
+def _read_checkpoint_body(fh, path,
+                          params: ModelParameters) -> ModelParameters:
+    """``params`` filled from the block lines and arrays after the header,
+    to the end of ``fh``."""
     for lineno, (name, arr) in enumerate(params.items(), start=3):
         meta = _checkpoint_line(fh, path, lineno, "checkpoint block line",
                                 _BLOCK_FIELDS)

@@ -248,8 +248,7 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
     range while this thread finishes the backward pass, runs Adam over the
     rest and the next step's ``forward_head``, which reads no ``W1``. The
     step waits for the helper before its ``forward_tail``, and the epoch
-    before dev scoring, which may give it one product of each pair (see
-    ``score_dataset``); an error in the helper is raised here. No
+    before dev scoring; an error in the helper is raised here. No
     element's operations change, so the bytes are those of one thread.
     They do depend on the BLAS thread count, so training runs at
     ``blas.TRAIN_THREADS`` whatever the environment sets, and restores the
@@ -312,7 +311,7 @@ def train(data: PairDataset, embed_config: EmbedderConfig,
                 optimizer.update(params, grads, bias, w1.stop, size, scratch)
                 losses.append(loss)
             _wait(jobs)
-            dev_probs = score_dataset(params, dev_data, helper)
+            dev_probs = score_dataset(params, dev_data)
             dev_f1 = pairwise_f1(dev_probs, dev_data.labels)
             history.append({"epoch": epoch,
                             "train_loss": float(np.mean(losses)),

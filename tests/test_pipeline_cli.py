@@ -872,6 +872,73 @@ class TestRuntimeFailures:
         assert manifest["error"] == {"type": "ScorerError",
                                      "message": f"{ckpt}: Is a directory"}
 
+    def test_header_size_the_model_cannot_take_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        """A negative size in the header is a corrupt checkpoint, found
+        from the header before any build, with ``load_checkpoint``'s
+        message: not a dims mismatch with the config."""
+        from cscoref.scorer import ScorerError, load_checkpoint
+
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        magic, header, body = (Path(config.out_dir) /
+                               "checkpoint_seed0.bin").read_bytes().split(
+                                   b"\n", 2)
+        header = json.dumps(dict(json.loads(header), h=-5)).encode()
+        ckpt = tmp_path / "negative.bin"
+        ckpt.write_bytes(b"\n".join([magic, header, body]))
+        with pytest.raises(ScorerError) as loaded:
+            load_checkpoint(ckpt)
+        message = str(loaded.value)
+        assert message.startswith(f"{ckpt}:2: ")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a split for a corrupt checkpoint")
+
+        monkeypatch.setattr(pipeline, "build_dataset", no_build)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert code == pipeline.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: ScorerError: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == {"type": "ScorerError",
+                                     "message": message}
+
+    def test_checkpoint_replaced_after_its_header_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        """The blocks are read after the header was checked; a file whose
+        dims changed in between is not scored."""
+        from cscoref.scorer import init_parameters, save_checkpoint
+
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(
+            (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes())
+        other = replace(config.train.model_dims(config.embedder),
+                        mode="inter")
+        load = pipeline.load_checkpoint
+
+        def replaced_first(path, into=None):
+            save_checkpoint(init_parameters(other, 0), path)
+            return load(path, into)
+
+        monkeypatch.setattr(pipeline, "load_checkpoint", replaced_first)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert code == pipeline.EXIT_RUNTIME
+        message = f"{ckpt}: checkpoint changed while it was read"
+        assert capsys.readouterr().err == f"error: ScorerError: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert not list(out.glob("clustering_*.jsonl"))
+
     def test_corpus_that_is_a_directory_exits_two_run_failed(
             self, tmp_path, capsys):
         config, _ = small_run_config(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cscoref.scorer import (BLOCK_ORDER, ModelDims, ModelParameters,
                             NonFiniteParameterError, ScorerError, attend,
                             backward_batch, backward_head, backward_tail,
-                            bce_loss, commonsense_vector, forward_batch,
+                            bce_loss, checkpoint_shell, commonsense_vector,
+                            forward_batch,
                             forward_head, forward_tail, gradients,
                             init_parameters, load_checkpoint, pair_features,
                             save_checkpoint, score_pair, segment_sum)
@@ -578,6 +580,28 @@ class TestCheckpoint:
         assert offset == flat.size
         assert loaded.b2.shape == ()
         np.testing.assert_array_equal(flat, params.flat)
+
+    def test_shell_is_zeroed_and_filled_in_place(self, tmp_path, params):
+        """``checkpoint_shell`` reads the header alone; ``load_checkpoint``
+        then fills that same buffer."""
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        shell = checkpoint_shell(path)
+        assert shell.dims == params.dims
+        assert not shell.flat.any()
+        loaded = load_checkpoint(path, shell)
+        assert loaded is shell
+        np.testing.assert_array_equal(shell.flat, params.flat)
+
+    def test_load_into_other_dims_rejected(self, tmp_path, params):
+        other = ModelParameters(replace(params.dims, h=params.dims.h + 1))
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        with pytest.raises(ScorerError) as err:
+            load_checkpoint(path, other)
+        assert str(err.value) == (
+            f"{path}: checkpoint changed while it was read")
+        assert not other.flat.any()
 
     def test_copy_is_independent(self, params):
         before = params.flat.copy()

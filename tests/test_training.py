@@ -833,61 +833,17 @@ class TestScoringHelper:
     @pytest.mark.parametrize("delay", [0.0, 0.005])
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_one_thread(self, mode, delay):
-        """Above ``HELPER_MIN_MACS`` the helper takes one step of each
-        pair (the ctx projections, and outside baseline the attention and
-        the cs projections), and every probability keeps the bits of the
-        one-thread run, also when each of its jobs starts 5 ms late."""
-        from cscoref import scorer
-
+        """The helper takes one step of each pair (the ctx projections,
+        and outside baseline the attention and the cs projections), and
+        every probability keeps the bits of the one-thread run, also when
+        each of its jobs starts 5 ms late."""
         dims = ModelDims(d=64, d_len=20, d_a=16, h=1024, mode=mode)
         data = make_random_dataset(dims, 3, n_mentions=48, n_pairs=300)
         params = init_parameters(dims, 0)
         params.W_q_before *= 50.0
         params.W_q_after *= 50.0
-        rows = len(np.unique(np.concatenate([data.pair_i, data.pair_j])))
-        assert rows * dims.rep_dim * dims.h >= scorer.HELPER_MIN_MACS
         want = score_dataset(params, data)
         with DelayedHelper(delay) as helper:
             got = score_dataset(params, data, helper)
         assert len(helper.jobs) == (1 if mode == "baseline" else 3)
         assert np.array_equal(got, want)
-
-    def test_desk_dev_scoring_submits_no_helper_job(self):
-        """``train`` hands its helper to dev scoring each epoch; at the
-        desk preset's dims the dev split stays below the guard and runs
-        on the calling thread alone."""
-        config = preset("desk")
-        spec = DESK_SPLIT_SPECS["dev"]
-        data = build_dataset(generate_synthetic(spec)[0], config.embedder,
-                             "intra", inference_source=SyntheticProvider(spec))
-        dims = config.train.model_dims(config.embedder)
-        with DelayedHelper() as helper:
-            score_dataset(init_parameters(dims, 0), data, helper)
-        assert helper.jobs == []
-
-    def test_contiguous_rows_are_a_view_with_the_copys_bits(
-            self, monkeypatch):
-        """Each side of a one-unit intra dataset uses one contiguous run of
-        attention rows; it is projected from a view of cs, with the bits
-        of the gathered copy."""
-        from cscoref import scorer
-
-        dims = ModelDims(d=6, d_len=4, d_a=3, h=16, mode="intra")
-        data = make_random_dataset(dims, 5, n_mentions=9, n_pairs=1)
-        pair_i, pair_j = np.triu_indices(9, 1)
-        data = replace(data, pair_i=pair_i, pair_j=pair_j,
-                       labels=np.zeros(len(pair_i)))
-        params = init_parameters(dims, 0)
-        views = []
-        take_rows = scorer._take_rows
-
-        def spy(a, rows):
-            out = take_rows(a, rows)
-            views.append(np.shares_memory(out, a))
-            return out
-
-        monkeypatch.setattr(scorer, "_take_rows", spy)
-        got = score_dataset(params, data)
-        assert views == [True, True]
-        monkeypatch.setattr(scorer, "_take_rows", lambda a, rows: a[rows])
-        assert np.array_equal(got, score_dataset(params, data))
