@@ -31,7 +31,7 @@ from .corpus import (SCOPES, Corpus, CorpusFormatError, check_record,
                      write_corpus)
 from .embed import EmbedderConfig
 from .metrics import EvalOptions, EvalReport, GoldKey, evaluate
-from .scorer import (ModelDims, ModelParameters, checkpoint_shell,
+from .scorer import (CheckpointReader, ModelDims, ModelParameters,
                      forward_batch, load_checkpoint, save_checkpoint)
 from .synthgen import SyntheticProvider, SyntheticSpec, generate_synthetic, \
     write_fixtures
@@ -572,24 +572,24 @@ def cmd_predict(config: RunConfig, checkpoint_path, split: str = "test",
         raise ConfigError("no threshold: pass --tau or set [cluster] "
                           "threshold")
     check_unit_interval("threshold", tau)
-    # the helper reads the checkpoint's blocks while this thread builds the
-    # split, then takes one product of each pair in scoring; at one BLAS
-    # thread each, the probabilities do not depend on the environment
+    # the helper reads the checkpoint while this thread builds the split,
+    # then both read; in scoring the helper takes one product of each pair.
+    # At one BLAS thread each, the probabilities ignore the environment
     with run_dir(config, "predict", blas=blas.describe()) as out, \
             blas.threads(blas.TRAIN_THREADS), ThreadPoolExecutor(1) as helper:
         corpus = load_corpus(config.corpus_paths[split])
-        # allocated on this thread: from the helper's malloc arena the
-        # freed vector would stay resident; the helper only fills it
-        shell = checkpoint_shell(checkpoint_path)
-        _check_dims(config, checkpoint_path, shell.dims)
-        loading = helper.submit(load_checkpoint, checkpoint_path, shell)
-        try:
-            data = _dataset_for(config, corpus, split, shell.dims.mode,
-                                default_strict=False)
-        except BaseException:
-            loading.result()  # a checkpoint error first, as read first
-            raise
-        params = loading.result()
+        # opened on this thread, which allocates the vector: from the
+        # helper's malloc arena the freed vector would stay resident
+        with CheckpointReader(checkpoint_path) as reader:
+            params = reader.params
+            _check_dims(config, checkpoint_path, params.dims)
+            loading = helper.submit(load_checkpoint, reader)
+            try:
+                data = _dataset_for(config, corpus, split, params.dims.mode,
+                                    default_strict=False)
+                load_checkpoint(reader)
+            finally:  # a checkpoint error first; the file stays open
+                loading.result()  # until the helper is done
         # looked up on the module, where the benchmark's tracer wraps them
         lookup = scores_as_lookup(
             data, training.score_dataset(params, data, helper))

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from concurrent.futures import Executor, wait
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -792,76 +795,92 @@ _HEADER_FIELDS = {"version": int, "d": int, "d_len": int, "d_a": int,
 _BLOCK_FIELDS = {"name": str, "shape": list}
 
 
-def load_checkpoint(path, into: Optional[ModelParameters] = None
-                    ) -> ModelParameters:
-    """Read a checkpoint written by ``save_checkpoint``: its header, then
-    its body, into ``into`` when given (``checkpoint_shell``'s parameters
-    of the same path) and into fresh parameters otherwise.
-
-    A missing file raises ``FileNotFoundError``; a file that cannot be
-    read otherwise (a directory, no permission), is not a checkpoint, or
-    is truncated or corrupt, or whose header no longer matches ``into``,
-    raises ``ScorerError`` naming the path.
-    """
-    with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
-        dims = _read_checkpoint_header(fh, path)
-        if into is None:
-            into = _zeroed_parameters(path, dims)
-        elif into.dims != dims:
-            raise ScorerError(f"{path}: checkpoint changed while it was "
-                              f"read")
-        return _read_checkpoint_body(fh, path, into)
+# bytes per ``os.preadv`` of a checkpoint body: two threads share a block
+READ_PIECE = 1 << 22
 
 
-def checkpoint_shell(path) -> ModelParameters:
-    """Zeroed parameters of the dims in the checkpoint's header, with
-    ``load_checkpoint``'s errors; the blocks are not read."""
-    with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
-        return _zeroed_parameters(path, _read_checkpoint_header(fh, path))
+def load_checkpoint(source) -> ModelParameters:
+    """The parameters of a checkpoint written by ``save_checkpoint``, read
+    from a path or from an open ``CheckpointReader`` other threads share.
+
+    A missing file raises ``FileNotFoundError``; ``ScorerError`` names the
+    path of one that cannot be read otherwise (a directory, no permission),
+    is not a checkpoint, or is truncated, corrupt or changed while read."""
+    if isinstance(source, CheckpointReader):
+        return source.read()
+    with CheckpointReader(source) as reader:
+        return reader.read()
 
 
-def _read_checkpoint_header(fh, path) -> ModelDims:
-    """The magic and the header line (lines 1 and 2) of ``fh``."""
-    magic = fh.read(len(CKPT_MAGIC))
-    if magic != CKPT_MAGIC:
-        raise ScorerError(f"{path}: not a checkpoint file")
-    header = _checkpoint_line(fh, path, 2, "checkpoint header",
-                              _HEADER_FIELDS)
-    try:  # a mode the model cannot take
-        return ModelDims(**header)
-    except ValueError as exc:
-        raise ScorerError(f"{path}:2: {exc}") from exc
+class CheckpointReader(AbstractContextManager):
+    """A checkpoint, open: the magic, header and block lines checked, the
+    blocks' lengths against the file's size, and ``params`` allocated,
+    zeroed, on this thread. Its body is pieces of at most ``READ_PIECE``
+    bytes, a file offset and a byte view of ``params.flat`` each. Leaving
+    the ``with`` block, after every ``read``, checks the file's size and
+    mtime against those at open."""
 
+    def __init__(self, path):
+        self.path, self._lock, self._pieces, self._ends = (
+            path, threading.Lock(), [], [])
+        with naming_os_errors(path, ScorerError), open(path, "rb") as fh:
+            stat = os.fstat(fh.fileno())
+            size, self._stamp = stat.st_size, (stat.st_size, stat.st_mtime_ns)
+            if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+                raise ScorerError(f"{path}: not a checkpoint file")
+            header = _checkpoint_line(fh, path, 2, "checkpoint header",
+                                      _HEADER_FIELDS)
+            try:  # a mode or a size the model cannot take
+                self.params = ModelParameters(ModelDims(**header))
+            except ValueError as exc:
+                raise ScorerError(f"{path}:2: {exc}") from exc
+            for lineno, (name, arr) in enumerate(self.params.items(), 3):
+                meta = _checkpoint_line(fh, path, lineno,
+                                        "checkpoint block line", _BLOCK_FIELDS)
+                if meta["name"] != name:
+                    raise ScorerError(
+                        f"{path}:{lineno}: checkpoint block order mismatch: "
+                        f"expected {name}, found {meta['name']}")
+                shape = tuple(meta["shape"])
+                if shape != arr.shape:
+                    raise ScorerError(
+                        f"{path}:{lineno}: checkpoint block {name} has shape "
+                        f"{shape}, expected {arr.shape}")
+                offset, block = fh.tell(), arr.reshape(-1).view(np.uint8)
+                self._ends.append((name, offset + arr.nbytes))
+                if offset + arr.nbytes > size:
+                    raise self._truncated(size)
+                self._pieces += [(offset + i, block[i:i + READ_PIECE])
+                                 for i in range(0, arr.nbytes, READ_PIECE)]
+                fh.seek(offset + arr.nbytes)  # past the block, unread
+            if fh.tell() != size:
+                raise ScorerError(f"{path}: bytes after the last block")
+            self._fd = os.dup(fh.fileno())
 
-def _zeroed_parameters(path, dims: ModelDims) -> ModelParameters:
-    try:  # a size the model cannot take
-        return ModelParameters(dims)
-    except ValueError as exc:
-        raise ScorerError(f"{path}:2: {exc}") from exc
+    def __exit__(self, error, *_):
+        now = os.fstat(self._fd)
+        os.close(self._fd)
+        if error is None and (now.st_size, now.st_mtime_ns) != self._stamp:
+            raise ScorerError(f"{self.path}: checkpoint changed while it "
+                              f"was read")
 
+    def read(self) -> ModelParameters:
+        """``params``, once this call has filled the pieces, in file order,
+        that no other call took: whole once every call has returned."""
+        while True:
+            with self._lock:
+                if not self._pieces:
+                    return self.params
+                offset, view = self._pieces.pop(0)
+            with naming_os_errors(self.path, ScorerError):
+                got = os.preadv(self._fd, [view], offset)
+                if got != len(view):  # where the file ends now, or sooner
+                    raise self._truncated(
+                        min(offset + got, os.fstat(self._fd).st_size))
 
-def _read_checkpoint_body(fh, path,
-                          params: ModelParameters) -> ModelParameters:
-    """``params`` filled from the block lines and arrays after the header,
-    to the end of ``fh``."""
-    for lineno, (name, arr) in enumerate(params.items(), start=3):
-        meta = _checkpoint_line(fh, path, lineno, "checkpoint block line",
-                                _BLOCK_FIELDS)
-        if meta["name"] != name:
-            raise ScorerError(
-                f"{path}:{lineno}: checkpoint block order mismatch: "
-                f"expected {name}, found {meta['name']}")
-        shape = tuple(meta["shape"])
-        if shape != arr.shape:
-            raise ScorerError(
-                f"{path}:{lineno}: checkpoint block {name} has shape "
-                f"{shape}, expected {arr.shape}")
-        if fh.readinto(arr) != arr.nbytes:  # straight into the view
-            raise ScorerError(
-                f"{path}: checkpoint truncated in block {name}")
-    if fh.read(1):
-        raise ScorerError(f"{path}: bytes after the last block")
-    return params
+    def _truncated(self, size: int) -> ScorerError:  # same for every reader
+        n = next(n for n, end in self._ends if end > size)
+        return ScorerError(f"{self.path}: checkpoint truncated in block {n}")
 
 
 def _checkpoint_line(fh, path, lineno: int, kind: str, fields: dict):

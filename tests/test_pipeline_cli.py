@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -826,9 +827,10 @@ class TestRuntimeFailures:
     @pytest.mark.parametrize("build_fails", [False, True])
     def test_checkpoint_truncated_in_w1_exits_three_run_failed(
             self, tmp_path, capsys, monkeypatch, build_fails):
-        """The helper reads the blocks while the split is built. A body
-        cut short inside W1 is the same error as on one thread, also when
-        the build fails too, and no thread outlives the call."""
+        """A body cut short inside W1 is found when the checkpoint is
+        opened, before the split is built: the same error as on one thread,
+        also when the build would fail too, and no thread outlives the
+        call."""
         config, _ = small_run_config(tmp_path)
         pipeline.cmd_train(config)
         blob = (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes()
@@ -907,26 +909,35 @@ class TestRuntimeFailures:
         assert manifest["error"] == {"type": "ScorerError",
                                      "message": message}
 
+    @pytest.mark.parametrize("change, same_size", [
+        (dict(mode="inter"), True), (dict(h=32), False)])
     def test_checkpoint_replaced_after_its_header_exits_three(
-            self, tmp_path, capsys, monkeypatch):
-        """The blocks are read after the header was checked; a file whose
-        dims changed in between is not scored."""
-        from cscoref.scorer import init_parameters, save_checkpoint
+            self, tmp_path, capsys, monkeypatch, change, same_size):
+        """The body is read after the header and block lines were checked;
+        a file rewritten in place in between, with an inter checkpoint of
+        the same size or with a longer one, is not scored. The new mtime is
+        set, so the check does not depend on the clock's granularity."""
+        from cscoref.scorer import (CheckpointReader, init_parameters,
+                                    save_checkpoint)
 
         config, _ = small_run_config(tmp_path)
         pipeline.cmd_train(config)
         ckpt = tmp_path / "ckpt.bin"
         ckpt.write_bytes(
             (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes())
-        other = replace(config.train.model_dims(config.embedder),
-                        mode="inter")
-        load = pipeline.load_checkpoint
+        other = replace(config.train.model_dims(config.embedder), **change)
 
-        def replaced_first(path, into=None):
+        def opened_then_rewritten(path):
+            reader = CheckpointReader(path)
+            opened = os.stat(path)
             save_checkpoint(init_parameters(other, 0), path)
-            return load(path, into)
+            os.utime(path, ns=(opened.st_atime_ns,
+                               opened.st_mtime_ns + 10**9))
+            assert (os.stat(path).st_size == opened.st_size) == same_size
+            return reader
 
-        monkeypatch.setattr(pipeline, "load_checkpoint", replaced_first)
+        monkeypatch.setattr(pipeline, "CheckpointReader",
+                            opened_then_rewritten)
         out = tmp_path / "pred"
         capsys.readouterr()
         code = cli.main(["predict", "--config",
@@ -938,6 +949,80 @@ class TestRuntimeFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert not list(out.glob("clustering_*.jsonl"))
+
+    @pytest.mark.parametrize("block", ["W1", "b2"])
+    def test_checkpoint_truncated_after_the_open_exits_three(
+            self, tmp_path, capsys, monkeypatch, block):
+        """A file cut short inside a block after its block lines were
+        checked comes up short in a read of the body: the same message as
+        when it was short at open, a failed run, and no thread outlives the
+        call. Cut inside the last block, only the helper may see it."""
+        from cscoref.scorer import CheckpointReader
+
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        blob = (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes()
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(blob)
+        line = blob.index(b'{"name": "%s"' % block.encode())
+
+        def opened_then_truncated(path):
+            reader = CheckpointReader(path)
+            os.truncate(path, blob.index(b"\n", line) + 1 + 4)
+            return reader
+
+        monkeypatch.setattr(pipeline, "CheckpointReader",
+                            opened_then_truncated)
+        out = tmp_path / "pred"
+        ini = cli_ini(tmp_path, config, out)
+        capsys.readouterr()
+        threads = threading.active_count()
+        code = cli.main(["predict", "--config", str(ini),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert threading.active_count() == threads
+        assert code == pipeline.EXIT_RUNTIME
+        message = f"{ckpt}: checkpoint truncated in block {block}"
+        assert capsys.readouterr().err == f"error: ScorerError: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"type": "ScorerError",
+                                     "message": message}
+
+    @pytest.mark.parametrize("line, wrong", [
+        (b'{"name": "b1"', b'{"name": "W2"'),
+        (b'{"name": "b1", "shape": [16]}', b'{"name": "b1", "shape": [4, 4]}'),
+    ])
+    def test_block_line_error_found_before_any_build(
+            self, tmp_path, capsys, monkeypatch, line, wrong):
+        """A block out of order or of the wrong shape exits 3 with the
+        ``path:line`` message of a one-thread load, and no split is built:
+        every block line is checked when the checkpoint is opened."""
+        from cscoref.scorer import ScorerError, load_checkpoint
+
+        config, _ = small_run_config(tmp_path)
+        pipeline.cmd_train(config)
+        blob = (Path(config.out_dir) / "checkpoint_seed0.bin").read_bytes()
+        assert blob.count(line) == 1
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(blob.replace(line, wrong))
+        with pytest.raises(ScorerError) as loaded:
+            load_checkpoint(ckpt)
+        message = str(loaded.value)
+        assert message.startswith(f"{ckpt}:10: checkpoint block ")
+        builds = []
+        monkeypatch.setattr(pipeline, "build_dataset",
+                            lambda *args, **kwargs: builds.append(args))
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        code = cli.main(["predict", "--config",
+                         str(cli_ini(tmp_path, config, out)),
+                         "--checkpoint", str(ckpt), "--tau", "0.5"])
+        assert code == pipeline.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: ScorerError: {message}\n"
+        assert builds == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == {"type": "ScorerError",
+                                     "message": message}
 
     def test_corpus_that_is_a_directory_exits_two_run_failed(
             self, tmp_path, capsys):

@@ -1,14 +1,19 @@
 import hashlib
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cscoref.scorer import (BLOCK_ORDER, ModelDims, ModelParameters,
-                            NonFiniteParameterError, ScorerError, attend,
+from cscoref import scorer
+from cscoref.scorer import (BLOCK_ORDER, CheckpointReader, ModelDims,
+                            ModelParameters, NonFiniteParameterError,
+                            ScorerError, attend,
                             backward_batch, backward_head, backward_tail,
-                            bce_loss, checkpoint_shell, commonsense_vector,
+                            bce_loss, commonsense_vector,
                             forward_batch,
                             forward_head, forward_tail, gradients,
                             init_parameters, load_checkpoint, pair_features,
@@ -538,6 +543,15 @@ class TestCheckpoint:
         for name, arr in params.blocks().items():
             np.testing.assert_array_equal(getattr(loaded, name), arr)
 
+    def test_empty_blocks_roundtrip(self, tmp_path, dims):
+        """With ``h = 0`` ``W1``, ``b1`` and ``W2`` hold no bytes: no
+        pieces, and the other blocks still load."""
+        params = ModelParameters(replace(dims, h=0))
+        params.flat[...] = np.arange(1, params.flat.size + 1)
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        assert load_checkpoint(path).flat.tobytes() == params.flat.tobytes()
+
     def test_save_deterministic_bytes(self, tmp_path, params):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(params, p1)
@@ -582,26 +596,70 @@ class TestCheckpoint:
         np.testing.assert_array_equal(flat, params.flat)
 
     def test_shell_is_zeroed_and_filled_in_place(self, tmp_path, params):
-        """``checkpoint_shell`` reads the header alone; ``load_checkpoint``
-        then fills that same buffer."""
+        """Opening a ``CheckpointReader`` checks the header and the block
+        lines and allocates zeroed parameters; ``load_checkpoint`` then
+        fills that same buffer."""
         path = tmp_path / "model.bin"
         save_checkpoint(params, path)
-        shell = checkpoint_shell(path)
-        assert shell.dims == params.dims
-        assert not shell.flat.any()
-        loaded = load_checkpoint(path, shell)
-        assert loaded is shell
+        with CheckpointReader(path) as reader:
+            shell = reader.params
+            assert shell.dims == params.dims
+            assert not shell.flat.any()
+            assert load_checkpoint(reader) is shell
         np.testing.assert_array_equal(shell.flat, params.flat)
 
     def test_load_into_other_dims_rejected(self, tmp_path, params):
-        other = ModelParameters(replace(params.dims, h=params.dims.h + 1))
+        """A file rewritten in place with other dims after the open is read
+        into the parameters of the dims seen at open, and rejected."""
         path = tmp_path / "model.bin"
         save_checkpoint(params, path)
+        opened = os.stat(path)
         with pytest.raises(ScorerError) as err:
-            load_checkpoint(path, other)
+            with CheckpointReader(path) as reader:
+                save_checkpoint(init_parameters(
+                    replace(params.dims, h=params.dims.h + 1), 0), path)
+                os.utime(path, ns=(opened.st_atime_ns,
+                                   opened.st_mtime_ns + 10**9))
+                load_checkpoint(reader)
         assert str(err.value) == (
             f"{path}: checkpoint changed while it was read")
-        assert not other.flat.any()
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter"])
+    def test_piece_order_does_not_change_the_bytes(self, tmp_path,
+                                                   monkeypatch, mode):
+        """With 4 KB pieces ``W1`` spans many and the 0-d ``b2`` is a piece
+        of its own. Read in reverse file order, or by two threads at once,
+        or by four switching every microsecond, the parameters are
+        byte-identical to a one-thread read: no piece is skipped and none
+        overlaps another."""
+        monkeypatch.setattr(scorer, "READ_PIECE", 4096)
+        params = init_parameters(
+            ModelDims(d=16, d_len=4, d_a=8, h=32, mode=mode), 3)
+        path = tmp_path / "model.bin"
+        save_checkpoint(params, path)
+        one_thread = load_checkpoint(path).flat.tobytes()
+        assert one_thread == params.flat.tobytes()
+        with CheckpointReader(path) as reader:
+            pieces = [len(view) for _, view in reader._pieces]
+            assert sum(pieces) == params.flat.nbytes
+            assert pieces.count(4096) >= params.W1.nbytes // 4096 > 1
+            assert pieces[-1] == params.b2.nbytes == 8
+            reader._pieces.reverse()  # each read takes the last piece first
+            assert load_checkpoint(reader).flat.tobytes() == one_thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for readers in (2, 4):  # two threads, then more than the cores
+                with CheckpointReader(path) as reader, \
+                        ThreadPoolExecutor(readers - 1) as pool:
+                    others = [pool.submit(load_checkpoint, reader)
+                              for _ in range(readers - 1)]
+                    load_checkpoint(reader)
+                    for other in others:
+                        assert other.result(timeout=30) is reader.params
+                assert reader.params.flat.tobytes() == one_thread
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_copy_is_independent(self, params):
         before = params.flat.copy()
