@@ -644,7 +644,7 @@ class TestCheckpoint:
             assert sum(pieces) == params.flat.nbytes
             assert pieces.count(4096) >= params.W1.nbytes // 4096 > 1
             assert pieces[-1] == params.b2.nbytes == 8
-            reader._pieces.reverse()  # each read takes the last piece first
+            reader._pieces.reverse()  # read in reverse file order
             assert load_checkpoint(reader).flat.tobytes() == one_thread
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
