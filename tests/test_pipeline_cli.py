@@ -909,14 +909,27 @@ class TestRuntimeFailures:
         assert manifest["error"] == {"type": "ScorerError",
                                      "message": message}
 
-    @pytest.mark.parametrize("change, same_size", [
-        (dict(mode="inter"), True), (dict(h=32), False)])
     def test_checkpoint_replaced_after_its_header_exits_three(
-            self, tmp_path, capsys, monkeypatch, change, same_size):
+            self, tmp_path, capsys, monkeypatch):
         """The body is read after the header and block lines were checked;
-        a file rewritten in place in between, with an inter checkpoint of
-        the same size or with a longer one, is not scored. The new mtime is
-        set, so the check does not depend on the clock's granularity."""
+        a file rewritten in place in between with an inter checkpoint of
+        the same size is not scored."""
+        self._assert_rewritten_after_open_exits_three(
+            tmp_path, capsys, monkeypatch, dict(mode="inter"), True)
+
+    def test_checkpoint_replaced_by_a_longer_one_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        """A file rewritten in place with a longer checkpoint after its
+        header was checked is not scored either."""
+        self._assert_rewritten_after_open_exits_three(
+            tmp_path, capsys, monkeypatch, dict(h=32), False)
+
+    @staticmethod
+    def _assert_rewritten_after_open_exits_three(
+            tmp_path, capsys, monkeypatch, change, same_size):
+        """Rewrite the checkpoint with ``change`` right after it is opened.
+        The new mtime is set, so the check does not depend on the clock's
+        granularity."""
         from cscoref.scorer import (CheckpointReader, init_parameters,
                                     save_checkpoint)
 
